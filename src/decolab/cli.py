@@ -104,11 +104,16 @@ def _cmd_fit(args):
                   f"(available: {', '.join(series.channels)})",
                   file=sys.stderr)
             return 2
+    try:
+        values = series.channel(channel)
+    except KeyError as exc:
+        # str() on a KeyError wraps the message in repr quotes
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
     out = {
         "series": args.series,
         "channel": channel,
-        "t_D": fit_decoherence_time(series.times, series.channel(channel),
-                                    **kwargs).as_dict(),
+        "t_D": fit_decoherence_time(series.times, values, **kwargs).as_dict(),
     }
     if "diag_distance" in series.channels:
         out["t_R"] = fit_relaxation_time(series.times,
@@ -188,10 +193,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except KeyError as exc:
-        # str() on a KeyError wraps the message in repr quotes
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
     except (scenarios.ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,7 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .liouville import DimensionMismatchError
+from .liouville import (HERMITICITY_TOL, DimensionMismatchError,
+                        require_hermitian)
 
 __all__ = [
     "EnergyGrid",
@@ -38,6 +39,7 @@ __all__ = [
     "GeneralKernelObservable",
     "UntaggedComponentError",
     "expectation_sid",
+    "offdiag_contribution",
     "sid_limit",
     "energy_expectation",
     "hamiltonian_observable",
@@ -49,12 +51,16 @@ __all__ = [
     "discretized_unitary_oracle",
     "kernel_decay_report",
     "load_table_kernel",
+    "sid_scenario",
     "gaussian_scenario",
+    "gaussian_envelope",
 ]
 
 log = logging.getLogger(__name__)
 
 ORACLE_GRID_CAP = 400
+# table energies must sit this close to a grid point
+TABLE_MATCH_TOL = 1e-9
 
 
 class UntaggedComponentError(ValueError):
@@ -68,6 +74,12 @@ class UntaggedComponentError(ValueError):
 # ---------------------------------------------------------------------------
 # grid and kernel types
 # ---------------------------------------------------------------------------
+
+def _frozen(a):
+    a = a.copy()
+    a.setflags(write=False)
+    return a
+
 
 @dataclass(frozen=True)
 class EnergyGrid:
@@ -93,12 +105,8 @@ class EnergyGrid:
             q = np.asarray(self.weights, dtype=float)
             if q.shape != w.shape or np.any(q <= 0):
                 raise ValueError("weights must be positive, one per energy")
-        w = w.copy()
-        w.setflags(write=False)
-        q = q.copy()
-        q.setflags(write=False)
-        object.__setattr__(self, "omega", w)
-        object.__setattr__(self, "weights", q)
+        object.__setattr__(self, "omega", _frozen(w))
+        object.__setattr__(self, "weights", _frozen(q))
 
     @classmethod
     def uniform(cls, omega_min, omega_max, n):
@@ -123,7 +131,7 @@ class EnergyGrid:
         return 2 * np.pi / float(np.min(np.diff(self.omega)))
 
 
-def _check_kernel(grid, kernel, herm_tol, what):
+def _check_kernel(grid, kernel, what):
     k = np.asarray(kernel, dtype=complex)
     n = grid.size
     if k.shape != (n, n):
@@ -132,12 +140,29 @@ def _check_kernel(grid, kernel, herm_tol, what):
         )
     if not np.all(np.isfinite(k)):
         raise ValueError(f"{what} kernel has non-finite entries")
-    dev = float(np.max(np.abs(k - k.conj().T)))
-    if dev > herm_tol:
-        raise ValueError(f"{what} kernel not Hermitian: deviation {dev:.3e}")
-    k = k.copy()
-    k.setflags(write=False)
-    return k
+    return _frozen(require_hermitian(k, HERMITICITY_TOL, f"{what} kernel"))
+
+
+def _validate_kernels(obj, offdiag_field, what):
+    """Check and freeze ``obj.diag`` and its regular off-diagonal kernel.
+
+    The diagonal must match the grid and be finite; a missing regular
+    kernel becomes zero.  Returns the validated diagonal.
+    """
+    grid = obj.grid
+    d = np.asarray(obj.diag, dtype=float)
+    if d.shape != grid.omega.shape:
+        raise DimensionMismatchError(
+            f"diag shape {d.shape} vs grid size {grid.size}"
+        )
+    if not np.all(np.isfinite(d)):
+        raise ValueError("diagonal part has non-finite entries")
+    off = getattr(obj, offdiag_field)
+    if off is None:
+        off = np.zeros((grid.size, grid.size))
+    object.__setattr__(obj, "diag", _frozen(d))
+    object.__setattr__(obj, offdiag_field, _check_kernel(grid, off, what))
+    return obj.diag
 
 
 @dataclass(frozen=True)
@@ -149,21 +174,7 @@ class VanHoveObservable:
     offdiag: np.ndarray = None
 
     def __post_init__(self):
-        d = np.asarray(self.diag, dtype=float)
-        if d.shape != self.grid.omega.shape:
-            raise DimensionMismatchError(
-                f"diag shape {d.shape} vs grid size {self.grid.size}"
-            )
-        if not np.all(np.isfinite(d)):
-            raise ValueError("diagonal part has non-finite entries")
-        off = self.offdiag
-        if off is None:
-            off = np.zeros((self.grid.size, self.grid.size))
-        off = _check_kernel(self.grid, off, 1e-12, "observable")
-        d = d.copy()
-        d.setflags(write=False)
-        object.__setattr__(self, "diag", d)
-        object.__setattr__(self, "offdiag", off)
+        _validate_kernels(self, "offdiag", "observable")
 
 
 @dataclass(frozen=True)
@@ -175,24 +186,12 @@ class VanHoveState:
     offdiag: np.ndarray = None
 
     def __post_init__(self):
-        d = np.asarray(self.diag, dtype=float)
-        if d.shape != self.grid.omega.shape:
-            raise DimensionMismatchError(
-                f"diag shape {d.shape} vs grid size {self.grid.size}"
-            )
+        d = _validate_kernels(self, "offdiag", "state")
         if float(d.min()) < -1e-12:
             raise ValueError(f"rho(w) has negative value {d.min():.3e}")
         norm = float(np.sum(self.grid.weights * d))
         if abs(norm - 1.0) > 1e-8:
             raise ValueError(f"quadrature of rho(w) is {norm!r}, expected 1")
-        off = self.offdiag
-        if off is None:
-            off = np.zeros((self.grid.size, self.grid.size))
-        off = _check_kernel(self.grid, off, 1e-12, "state")
-        d = d.copy()
-        d.setflags(write=False)
-        object.__setattr__(self, "diag", d)
-        object.__setattr__(self, "offdiag", off)
 
 
 @dataclass(frozen=True)
@@ -218,19 +217,7 @@ class GeneralKernelObservable:
     offdiag_singular: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        d = np.asarray(self.diag, dtype=float)
-        if d.shape != self.grid.omega.shape:
-            raise DimensionMismatchError(
-                f"diag shape {d.shape} vs grid size {self.grid.size}"
-            )
-        off = self.offdiag_regular
-        if off is None:
-            off = np.zeros((self.grid.size, self.grid.size))
-        off = _check_kernel(self.grid, off, 1e-12, "regular")
-        d = d.copy()
-        d.setflags(write=False)
-        object.__setattr__(self, "diag", d)
-        object.__setattr__(self, "offdiag_regular", off)
+        _validate_kernels(self, "offdiag_regular", "regular")
         object.__setattr__(self, "offdiag_singular",
                            tuple(self.offdiag_singular))
 
@@ -240,9 +227,8 @@ class GeneralKernelObservable:
 # ---------------------------------------------------------------------------
 
 def _same_grid(a, b):
-    if a.grid.size != b.grid.size or \
-            float(np.max(np.abs(a.grid.omega - b.grid.omega))) > 0:
-        raise DimensionMismatchError("state and observable grids differ")
+    if a.size != b.size or float(np.max(np.abs(a.omega - b.omega))) > 0:
+        raise DimensionMismatchError("grids differ")
 
 
 def expectation_sid(state, obs, t, with_residue=False):
@@ -254,9 +240,8 @@ def expectation_sid(state, obs, t, with_residue=False):
     imaginary residue is available via ``with_residue``.  Summation is
     numpy pairwise over a fixed layout, so results are deterministic.
     """
-    _same_grid(state, obs)
+    diag_part = sid_limit(state, obs)
     g = state.grid
-    diag_part = float(np.sum(g.weights * state.diag * obs.diag))
     # term(i, j) = rho(w_j, w_i) O(w_i, w_j) e^{-i(w_i - w_j) t} q_i q_j
     phase = np.exp(-1j * float(t) * np.subtract.outer(g.omega, g.omega))
     ww = np.outer(g.weights, g.weights)
@@ -274,16 +259,14 @@ def offdiag_contribution(state, obs, t):
 
 def sid_limit(state, obs):
     """Weak-limit value: the diagonal quadrature alone survives t -> inf."""
-    _same_grid(state, obs)
+    _same_grid(state.grid, obs.grid)
     return float(np.sum(state.grid.weights * state.diag * obs.diag))
 
 
 def energy_expectation(state, grid=None):
     """<H> = int rho(w) w dw; time-independent since H has no regular kernel."""
     g = state.grid if grid is None else grid
-    if g.size != state.grid.size or \
-            float(np.max(np.abs(g.omega - state.grid.omega))) > 0:
-        raise DimensionMismatchError("state grid differs from supplied grid")
+    _same_grid(g, state.grid)
     return float(np.sum(g.weights * state.diag * g.omega))
 
 
@@ -464,7 +447,7 @@ def discretized_unitary_oracle(state, obs, t, cap=ORACLE_GRID_CAP):
     kernel algebra is a direct sum), which is what makes this an honest
     rephrasing of the quadrature rather than a second copy of it.
     """
-    _same_grid(state, obs)
+    _same_grid(state.grid, obs.grid)
     g = state.grid
     if g.size > cap:
         raise ValueError(f"oracle capped at N = {cap}, grid has {g.size}")
@@ -522,12 +505,12 @@ def kernel_decay_report(obs):
     return report
 
 
-def load_table_kernel(path, grid, tol=1e-9):
+def load_table_kernel(path, grid):
     """Load an off-diagonal kernel from CSV rows (omega, omega', re, im).
 
     Every (omega_i, omega_j) pair of the working grid must be covered
-    exactly once (values matched to grid points within ``tol``); the
-    assembled kernel must be Hermitian.
+    exactly once (values matched to grid points within TABLE_MATCH_TOL);
+    the assembled kernel must be Hermitian.
     """
     n = grid.size
     kernel = np.full((n, n), np.nan, dtype=complex)
@@ -540,7 +523,8 @@ def load_table_kernel(path, grid, tol=1e-9):
             w, wp, re, im = (float(x) for x in row)
             i = int(np.argmin(np.abs(grid.omega - w)))
             j = int(np.argmin(np.abs(grid.omega - wp)))
-            if abs(grid.omega[i] - w) > tol or abs(grid.omega[j] - wp) > tol:
+            if abs(grid.omega[i] - w) > TABLE_MATCH_TOL or \
+                    abs(grid.omega[j] - wp) > TABLE_MATCH_TOL:
                 raise ValueError(
                     f"{path}:{row_no}: ({w}, {wp}) is not a grid point"
                 )
@@ -548,12 +532,29 @@ def load_table_kernel(path, grid, tol=1e-9):
     missing = int(np.sum(np.isnan(kernel.real)))
     if missing:
         raise ValueError(f"{path}: kernel incomplete, {missing} grid pairs unset")
-    return _check_kernel(grid, kernel, 1e-12, "table")
+    return _check_kernel(grid, kernel, "table")
 
 
 # ---------------------------------------------------------------------------
-# stock scenario
+# stock scenarios
 # ---------------------------------------------------------------------------
+
+def sid_scenario(grid, kernel, center, width, amplitude):
+    """State/observable pair sharing one regular cross-kernel.
+
+    The state has a gaussian energy distribution of the given ``center``
+    and ``width`` and the kernel ``amplitude * kernel``; the observable
+    weighs energies with a gaussian of width 1.5 about the same center
+    and carries ``kernel`` itself.  Scenario families differ only in the
+    kernel they pass.
+    """
+    w = grid.omega
+    rho_diag = np.exp(-((w - center) ** 2) / (2 * width ** 2))
+    rho_diag = rho_diag / float(np.sum(grid.weights * rho_diag))
+    state = VanHoveState(grid, rho_diag, amplitude * kernel)
+    obs_diag = np.exp(-((w - center) ** 2) / (2 * 1.5 ** 2))
+    return state, VanHoveObservable(grid, obs_diag, kernel)
+
 
 def gaussian_scenario(n=400, omega_max=10.0, center=5.0, width=1.2,
                       cross_width=0.5, amplitude=0.25):
@@ -574,12 +575,7 @@ def gaussian_scenario(n=400, omega_max=10.0, center=5.0, width=1.2,
     diff = np.subtract.outer(w, w)
     profile = np.exp(-((mean - center) ** 2) / (2 * width ** 2)) \
         * np.exp(-(diff ** 2) / (4 * cross_width ** 2))
-    rho_diag = np.exp(-((w - center) ** 2) / (2 * width ** 2))
-    rho_diag = rho_diag / float(np.sum(grid.weights * rho_diag))
-    state = VanHoveState(grid, rho_diag, amplitude * profile)
-    obs_diag = np.exp(-((w - center) ** 2) / (2 * 1.5 ** 2))
-    obs = VanHoveObservable(grid, obs_diag, profile)
-    return state, obs
+    return sid_scenario(grid, profile, center, width, amplitude)
 
 
 def gaussian_envelope(t, cross_width=0.5):

@@ -180,8 +180,7 @@ def fit_relaxation_time(times, values, equilibrium=0.0, floor_log=FIT_FLOOR_LOG)
     return best
 
 
-def detect_weak_limit(times, channels, epsilon, recurrence_window=None,
-                      tail_fraction=TAIL_FRACTION):
+def detect_weak_limit(times, channels, epsilon, recurrence_window=None):
     """Earliest time after which every channel stays near its long-time mean.
 
     Only samples inside the recurrence window count: the long-time mean
@@ -217,7 +216,7 @@ def detect_weak_limit(times, channels, epsilon, recurrence_window=None,
         raise ValueError("recurrence window leaves fewer than 4 samples")
 
     t_in = times[mask]
-    tail_n = max(3, int(math.ceil(tail_fraction * t_in.size)))
+    tail_n = max(3, int(math.ceil(TAIL_FRACTION * t_in.size)))
     equilibrium = {}
     deviation = np.zeros(t_in.size)
     for name in names:

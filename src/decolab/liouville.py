@@ -37,7 +37,7 @@ __all__ = [
     "unvec",
     "liouville_inner",
     "pairing",
-    "is_hermitian",
+    "require_hermitian",
     "validate_density",
     "validate_observable",
     "projector_defect",
@@ -45,15 +45,13 @@ __all__ = [
     "build_projector",
     "biorthogonalize",
     "coarse_grain",
-    "project_final_state",
     "matrix_unit_basis",
     "diagonal_projector",
-    "identity_superop",
     "save_operator",
     "load_operator",
 ]
 
-# Default tolerances; every check below takes these as keyword parameters.
+# Tolerances of the checks below.
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_TOL = 1e-10
@@ -162,39 +160,43 @@ def pairing(state, obs):
     return complex(np.sum(state * obs.T))
 
 
-def is_hermitian(m, tol=HERMITICITY_TOL):
+def require_hermitian(m, tol, what):
+    """Return ``m`` as an array; raise unless max |M - M^dag| <= ``tol``.
+
+    The one Hermiticity check of the package: observables, states,
+    kernels and commutator superoperators all go through it, each with
+    its own tolerance.  ``what`` names the operand in the error.
+    """
     m = np.asarray(m)
-    return float(np.max(np.abs(m - m.conj().T))) <= tol if m.size else True
-
-
-def validate_observable(o, tol=HERMITICITY_TOL):
-    """Raise unless ``o`` is Hermitian to ``tol``."""
-    o = np.asarray(o)
-    dev = float(np.max(np.abs(o - o.conj().T)))
+    dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
     if dev > tol:
-        raise InvalidStateError(f"observable not Hermitian: max deviation {dev:.3e}")
-    return o
+        raise InvalidStateError(
+            f"{what} not Hermitian: max deviation {dev:.3e}")
+    return m
 
 
-def validate_density(rho, herm_tol=HERMITICITY_TOL, trace_tol=TRACE_TOL,
-                     eig_tol=EIGENVALUE_TOL):
+def validate_observable(o):
+    """Raise unless ``o`` is Hermitian to HERMITICITY_TOL."""
+    return require_hermitian(o, HERMITICITY_TOL, "observable")
+
+
+def validate_density(rho):
     """Check the density-operator invariants of ``rho``.
 
-    Hermitian to ``herm_tol``, unit trace to ``trace_tol``, eigenvalues
-    >= -``eig_tol``.  Returns ``rho`` as a complex array on success.
+    Hermitian to HERMITICITY_TOL, unit trace to TRACE_TOL, eigenvalues
+    >= -EIGENVALUE_TOL.  Returns ``rho`` as a complex array on success.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidStateError(f"expected a square matrix, got shape {rho.shape}")
-    herm_dev = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm_dev > herm_tol:
-        raise InvalidStateError(f"state not Hermitian: max deviation {herm_dev:.3e}")
+    require_hermitian(rho, HERMITICITY_TOL, "state")
     tr_dev = abs(complex(np.trace(rho)) - 1.0)
-    if tr_dev > trace_tol:
+    if tr_dev > TRACE_TOL:
         raise InvalidStateError(f"state trace deviates from 1 by {tr_dev:.3e}")
     evals = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    if float(evals.min()) < -eig_tol:
-        raise InvalidStateError(f"state has eigenvalue {evals.min():.3e} < -{eig_tol}")
+    if float(evals.min()) < -EIGENVALUE_TOL:
+        raise InvalidStateError(
+            f"state has eigenvalue {evals.min():.3e} < -{EIGENVALUE_TOL}")
     return rho
 
 
@@ -258,21 +260,21 @@ def is_projector(m, tol=IDEMPOTENCE_TOL):
     return projector_defect(m) <= tol
 
 
-def build_projector(basis, tol=BIORTHOGONALITY_TOL):
+def build_projector(basis):
     """Assemble pi = sum_a |O_a)(rho_a| as a d^2 x d^2 superoperator matrix.
 
     Rejects the basis if any pairing <rho_a|O_b> deviates from delta_ab by
-    more than ``tol``, naming the worst offending pair.
+    more than BIORTHOGONALITY_TOL, naming the worst offending pair.
     """
     g = basis.gram()
     dev = np.abs(g - np.eye(basis.size))
     worst = float(dev.max())
-    if worst > tol:
+    if worst > BIORTHOGONALITY_TOL:
         a, b = np.unravel_index(int(dev.argmax()), dev.shape)
         raise BiorthogonalityError(
             f"pairing ({a}|{b}) = {g[a, b]:.6g} deviates from "
-            f"{'1' if a == b else '0'} by {worst:.3e} (tol {tol:.1e}); "
-            "biorthogonalize the pairs first"
+            f"{'1' if a == b else '0'} by {worst:.3e} "
+            f"(tol {BIORTHOGONALITY_TOL:.1e}); biorthogonalize the pairs first"
         )
     d2 = basis.dim ** 2
     pi = np.zeros((d2, d2), dtype=complex)
@@ -323,16 +325,6 @@ def coarse_grain(rho, pi):
     return CoarseState(unvec(pi.conj().T @ vec(rho)))
 
 
-def project_final_state(rho_star, pi):
-    """Project an equilibrium state: (rho_G*| = (rho_*|pi.
-
-    Same contract as :func:`coarse_grain`; kept separate because the
-    projected equilibrium state is what long-time runs are compared
-    against (projection and the t -> infinity limit commute).
-    """
-    return coarse_grain(rho_star, pi)
-
-
 # ---------------------------------------------------------------------------
 # stock bases / projectors
 # ---------------------------------------------------------------------------
@@ -358,10 +350,6 @@ def diagonal_projector(d):
         [np.diag(np.eye(d, dtype=complex)[i]) for i in range(d)],
     )
     return build_projector(basis)
-
-
-def identity_superop(d):
-    return np.eye(d * d, dtype=complex)
 
 
 # ---------------------------------------------------------------------------

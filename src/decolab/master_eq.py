@@ -36,6 +36,7 @@ from scipy.integrate import solve_ivp
 from .liouville import (
     CoarseState,
     DimensionMismatchError,
+    require_hermitian,
     unvec,
     validate_observable,
     vec,
@@ -54,6 +55,14 @@ __all__ = [
     "evolve_linear_generator",
     "dissipative_toy",
 ]
+
+# DOP853 tolerances of the exact and memory-kernel integrations
+RTOL = 1e-10
+ATOL = 1e-12
+# Hermiticity and identity-annihilation tolerance of a Liouvillian
+LIOUVILLIAN_TOL = 1e-10
+# norm below which a defect counts as zero
+DEFECT_ZERO_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -79,14 +88,10 @@ class Liouvillian:
             raise DimensionMismatchError(
                 f"superoperator size {d2} is not a squared dimension"
             )
-        dev = float(np.max(np.abs(m - m.conj().T)))
-        if dev > 1e-10:
-            raise ValueError(
-                f"commutator superoperator must be Hermitian (real Bohr "
-                f"spectrum); deviation {dev:.3e}"
-            )
+        # Hermitian, so that its Bohr spectrum is real
+        require_hermitian(m, LIOUVILLIAN_TOL, "commutator superoperator")
         resid = float(np.max(np.abs(m @ vec(np.eye(d)))))
-        if resid > 1e-10:
+        if resid > LIOUVILLIAN_TOL:
             raise ValueError(f"L does not annihilate the identity: {resid:.3e}")
         m = m.copy()
         m.setflags(write=False)
@@ -110,8 +115,8 @@ class DefectSuperOp:
     def norm(self):
         return float(np.linalg.norm(self.superop))
 
-    def is_zero(self, tol=1e-12):
-        return self.norm() <= tol
+    def is_zero(self):
+        return self.norm() <= DEFECT_ZERO_TOL
 
 
 def build_liouvillian(hamiltonian):
@@ -137,6 +142,11 @@ def defect(pi, liouville):
 # exact projected evolution
 # ---------------------------------------------------------------------------
 
+def _coarse_states(columns):
+    """One :class:`CoarseState` per column of vectorized states."""
+    return [CoarseState(unvec(col)) for col in columns.T]
+
+
 def _integrate_complex(rhs, y0, times, rtol, atol):
     t0, t1 = float(times[0]), float(times[-1])
     sol = solve_ivp(rhs, (t0, t1), y0, t_eval=np.asarray(times, dtype=float),
@@ -146,7 +156,7 @@ def _integrate_complex(rhs, y0, times, rtol, atol):
     return sol.y
 
 
-def evolve_master_exact(rho0, pi, liouville, times, rtol=1e-10, atol=1e-12):
+def evolve_master_exact(rho0, pi, liouville, times):
     """Integrate i d|rho_G)/dt = L|rho_G) + N|rho(t)).
 
     The feedback term uses |rho(t)) from the exact unitary group
@@ -169,9 +179,7 @@ def evolve_master_exact(rho0, pi, liouville, times, rtol=1e-10, atol=1e-12):
         x_t = n_eig @ (np.exp(-1j * evals * t) * x0_eig)
         return -1j * (lm @ y + x_t)
 
-    times = np.asarray(times, dtype=float)
-    ys = _integrate_complex(rhs, pi @ x0, times, rtol, atol)
-    return [CoarseState(unvec(ys[:, k])) for k in range(times.size)]
+    return _coarse_states(_integrate_complex(rhs, pi @ x0, times, RTOL, ATOL))
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +210,13 @@ def _pq_system(pi, liouville):
 
 @dataclass(frozen=True)
 class MemoryKernel:
-    """K(tau) samples on range(P) coordinates (basis columns included)."""
+    """K(tau) samples on range(P) coordinates (basis columns included).
+
+    ``matrices[k]`` is K(taus[k]).
+    """
 
     taus: np.ndarray
-    matrices: list
+    matrices: np.ndarray
     basis: np.ndarray
 
 
@@ -219,14 +230,13 @@ def memory_kernel(pi, liouville, taus):
     u_p = _range_basis(p)
     left = u_p.conj().T @ from_modes
     right = into_modes @ u_p
-    mats = [left @ np.diag(np.exp(-1j * lam * float(tau))) @ right
-            for tau in taus]
-    return MemoryKernel(np.asarray(taus, dtype=float), mats, u_p)
+    taus = np.asarray(taus, dtype=float)
+    phase = np.exp(-1j * lam * taus[:, None])
+    return MemoryKernel(taus, (left * phase[:, None, :]) @ right, u_p)
 
 
 def evolve_nakajima_zwanzig(rho0, pi, liouville, times, kernel_window=None,
-                            relevant_only=True, rtol=1e-10, atol=1e-12,
-                            history_step=None):
+                            relevant_only=True):
     """Solve the closed P/Q equation for y = P|rho).
 
     The memory integral is carried exactly by the eigenmodes of QLQ on
@@ -263,8 +273,8 @@ def evolve_nakajima_zwanzig(rho0, pi, liouville, times, kernel_window=None,
             dz = -1j * (lam * z + into_modes @ y)
             return np.concatenate([dy, dz])
 
-        ys = _integrate_complex(rhs, yz0, times, rtol, atol)
-        return [CoarseState(unvec(ys[:ny, k])) for k in range(times.size)]
+        ys = _integrate_complex(rhs, yz0, times, RTOL, ATOL)
+        return _coarse_states(ys[:ny])
 
     if not relevant_only:
         raise ValueError(
@@ -282,18 +292,28 @@ def evolve_nakajima_zwanzig(rho0, pi, liouville, times, kernel_window=None,
         f"{horizon}; dropped-tail bound ~ {drop:.3e} * sup|y|",
         RuntimeWarning, stacklevel=2)
     return _nz_windowed(y0, lam, plp, into_modes, from_modes, times,
-                        kernel_window, history_step)
+                        kernel_window)
 
 
-def _nz_windowed(y0, lam, plp, into_modes, from_modes, times, window,
-                 history_step):
-    """Fixed-step integration with the mode history cut at t - window."""
+def _nz_windowed(y0, lam, plp, into_modes, from_modes, times, window):
+    """Fixed-step integration with the mode history cut at t - window.
+
+    Each requested time reads y at the nearest integration step.
+    """
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("sample times must be strictly increasing")
     t0, t1 = float(times[0]), float(times[-1])
-    dt = history_step or min(0.002, window / 50)
+    dt = min(0.002, window / 50)
     steps = int(np.ceil((t1 - t0) / dt))
     dt = (t1 - t0) / steps
     decay = np.exp(-1j * lam * window)
     grid = t0 + dt * np.arange(steps + 1)
+    # each time reads the first step within half a step of it: the one
+    # at or below it, else the next
+    below = np.clip(np.searchsorted(grid, times, side="right") - 1,
+                    0, steps - 1)
+    pick = np.where(np.abs(times - grid[below]) <= 0.5 * dt, below, below + 1)
+    wanted = set(pick.tolist())
     hist_z = np.zeros((steps + 1, lam.size), dtype=complex)
 
     def z_at(t):
@@ -309,26 +329,17 @@ def _nz_windowed(y0, lam, plp, into_modes, from_modes, times, window,
             return z
         return z - decay * z_at(t - window)
 
-    y = y0.astype(complex).copy()
+    def f(state, tt):
+        yv, zv = state
+        dy = -1j * (plp @ yv + from_modes @ windowed(zv, tt))
+        dz = -1j * (lam * zv + into_modes @ yv)
+        return dy, dz
+
+    y = y0.astype(complex)
     z = np.zeros(lam.size, dtype=complex)
-    out = {}
-    want = {float(t) for t in times}
-
-    def record(t, yv):
-        for tw in list(want):
-            if abs(tw - t) <= 0.5 * dt:
-                out.setdefault(tw, yv.copy())
-
-    record(t0, y)
+    kept = {0: y}  # y at the picked steps only
     for k in range(steps):
         t = grid[k]
-
-        def f(state, tt):
-            yv, zv = state
-            dy = -1j * (plp @ yv + from_modes @ windowed(zv, tt))
-            dz = -1j * (lam * zv + into_modes @ yv)
-            return dy, dz
-
         k1 = f((y, z), t)
         k2 = f((y + 0.5 * dt * k1[0], z + 0.5 * dt * k1[1]), t + 0.5 * dt)
         k3 = f((y + 0.5 * dt * k2[0], z + 0.5 * dt * k2[1]), t + 0.5 * dt)
@@ -336,9 +347,10 @@ def _nz_windowed(y0, lam, plp, into_modes, from_modes, times, window,
         y = y + (dt / 6) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         z = z + (dt / 6) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
         hist_z[k + 1] = z
-        record(grid[k + 1], y)
+        if k + 1 in wanted:
+            kept[k + 1] = y
 
-    return [CoarseState(unvec(out[float(t)])) for t in times]
+    return _coarse_states(np.array([kept[k] for k in pick]).T)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +414,8 @@ def evolve_linear_generator(generator, rho0, times):
         )
     lam, smat = np.linalg.eig(g)
     coeff = np.linalg.solve(smat, x0)
-    out = np.empty((len(times), rho0.shape[0], rho0.shape[0]), dtype=complex)
-    for k, t in enumerate(times):
-        out[k] = unvec(smat @ (np.exp(lam * float(t)) * coeff))
-    return out
+    times = np.asarray(times, dtype=float)
+    # one stacked mat-vec per time: smat @ (e^{lam t} * coeff)
+    x = smat @ (np.exp(lam * times[:, None]) * coeff)[..., None]
+    d = rho0.shape[0]
+    return x.reshape(times.size, d, d).swapaxes(1, 2)

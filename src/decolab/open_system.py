@@ -58,6 +58,8 @@ SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 # caps for the spin-bath scenario; full state dimension is 2^(n+1)
 SPIN_CAP = 14          # state-vector path
 DENSE_SPIN_CAP = 10    # dense (CompositeSystem, DensityOperator) materialization
+# eigenvalue gap below which the preferred basis is flagged degenerate
+DEGENERACY_GAP = 1e-8
 
 
 class ResourceCapError(ValueError):
@@ -185,18 +187,16 @@ def evolve_unitary(rho0, hamiltonian, times):
         )
     evals, vecs = np.linalg.eigh(h)
     rho_eig = vecs.conj().T @ rho0 @ vecs
-    out = np.empty((len(times),) + rho0.shape, dtype=complex)
-    for k, t in enumerate(times):
-        phase = np.exp(-1j * evals * t)
-        # e^{-iHt} rho e^{iHt} in the eigenbasis is an outer phase mask
-        out[k] = vecs @ (np.outer(phase, phase.conj()) * rho_eig) @ vecs.conj().T
-    return out
+    phase = np.exp(-1j * evals * np.asarray(times, dtype=float)[:, None])
+    # e^{-iHt} rho e^{iHt} in the eigenbasis is an outer phase mask
+    mask = phase[:, :, None] * phase.conj()[:, None, :]
+    return vecs @ (mask * rho_eig) @ vecs.conj().T
 
 
 def purity(rho):
-    """Tr(rho^2), real part."""
+    """Tr(rho^2), real part; a stack of states gives one value per state."""
     rho = np.asarray(rho)
-    return float(np.sum(rho * rho.T).real)
+    return np.sum(rho * np.swapaxes(rho, -2, -1), axis=(-2, -1)).real
 
 
 # ---------------------------------------------------------------------------
@@ -228,25 +228,29 @@ def spin_bath_initial_vector(params):
     return psi
 
 
-def spin_bath_scenario(params, cap=SPIN_CAP, dense_cap=DENSE_SPIN_CAP):
-    """Dense (CompositeSystem, initial DensityOperator) for the spin bath.
-
-    The state dimension is 2^(n+1).  Beyond ``dense_cap`` spins the dense
-    matrices stop being desk-scale (GB-sized), so the call is refused and
-    the state-vector route (:func:`spin_bath_reduced_dynamics`, valid up
-    to ``cap``) is pointed to instead.
-    """
-    n = params.n_spins
-    if n > cap:
+def _check_spin_cap(n):
+    if n > SPIN_CAP:
         raise ResourceCapError(
             f"{n} bath spins means state dimension 2^{n + 1} = {2 ** (n + 1)}; "
-            f"cap is {cap} spins"
+            f"cap is {SPIN_CAP} spins"
         )
-    if n > dense_cap:
+
+
+def spin_bath_scenario(params):
+    """Dense (CompositeSystem, initial DensityOperator) for the spin bath.
+
+    The state dimension is 2^(n+1).  Beyond DENSE_SPIN_CAP spins the dense
+    matrices stop being desk-scale (GB-sized), so the call is refused and
+    the state-vector route (:func:`spin_bath_reduced_dynamics`, valid up
+    to SPIN_CAP) is pointed to instead.
+    """
+    n = params.n_spins
+    _check_spin_cap(n)
+    if n > DENSE_SPIN_CAP:
         raise ResourceCapError(
             f"dense matrices at {n} bath spins would be "
             f"{2 ** (n + 1)}x{2 ** (n + 1)}; use spin_bath_reduced_dynamics "
-            f"(state-vector route, cap {cap}) instead"
+            f"(state-vector route, cap {SPIN_CAP}) instead"
         )
     h = np.diag(spin_bath_hamiltonian_diagonal(params)).astype(complex)
     psi = spin_bath_initial_vector(params)
@@ -255,7 +259,7 @@ def spin_bath_scenario(params, cap=SPIN_CAP, dense_cap=DENSE_SPIN_CAP):
     return system, validate_density(rho0)
 
 
-def spin_bath_reduced_dynamics(params, times, cap=SPIN_CAP):
+def spin_bath_reduced_dynamics(params, times):
     """rho_S(t) from the full 2^(n+1)-dimensional simulation.
 
     H is diagonal in the product basis and the initial state is pure, so
@@ -263,12 +267,7 @@ def spin_bath_reduced_dynamics(params, times, cap=SPIN_CAP):
     trace of |psi><psi| is psi_mat @ psi_mat^dag with psi reshaped to
     (2, 2^n).  No approximation is made.  Returns (len(times), 2, 2).
     """
-    n = params.n_spins
-    if n > cap:
-        raise ResourceCapError(
-            f"{n} bath spins means state dimension 2^{n + 1} = {2 ** (n + 1)}; "
-            f"cap is {cap} spins"
-        )
+    _check_spin_cap(params.n_spins)
     diag = spin_bath_hamiltonian_diagonal(params)
     psi0 = spin_bath_initial_vector(params)
     out = np.empty((len(times), 2, 2), dtype=complex)
@@ -324,10 +323,10 @@ class PreferredBasis(NamedTuple):
     degenerate: bool
 
 
-def preferred_basis(rho_s, gap_tol=1e-8):
+def preferred_basis(rho_s):
     """Instantaneous eigenbasis of a reduced state, populations descending.
 
-    When the spectrum has a gap below ``gap_tol`` the eigenvectors are not
+    When the spectrum has a gap below DEGENERACY_GAP the eigenvectors are not
     unique; any orthonormal choice is returned and the ``degenerate`` flag
     is set so that downstream users rely on eigenvalues only.
     """
@@ -336,5 +335,6 @@ def preferred_basis(rho_s, gap_tol=1e-8):
     order = np.argsort(evals)[::-1]
     evals = evals[order].real
     evecs = evecs[:, order]
-    degenerate = bool(evals.size > 1 and np.min(-np.diff(evals)) < gap_tol)
+    degenerate = bool(evals.size > 1
+                      and np.min(-np.diff(evals)) < DEGENERACY_GAP)
     return PreferredBasis(evals, evecs, degenerate)

@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import fits
-from .continuum import (EnergyGrid, VanHoveObservable, VanHoveState,
-                        energy_expectation, expectation_sid, gaussian_scenario,
-                        hamiltonian_observable, load_table_kernel, sid_limit)
+from .continuum import (EnergyGrid, energy_expectation, expectation_sid,
+                        gaussian_scenario, hamiltonian_observable,
+                        load_table_kernel, sid_limit, sid_scenario)
 from .master_eq import dissipative_toy, evolve_linear_generator
 from .open_system import (SPIN_CAP, SpinBathParams, purity,
                           spin_bath_recurrence_window,
@@ -275,7 +275,7 @@ def _run_eid(config):
         for j in range(2):
             channels[f"rho{i}{j}_re"] = rhos[:, i, j].real
             channels[f"rho{i}{j}_im"] = rhos[:, i, j].imag
-    channels["purity"] = np.array([purity(r) for r in rhos])
+    channels["purity"] = purity(rhos)
     channels["offdiag_modulus"] = np.abs(rhos[:, 0, 1])
     series = TimeSeries(times=times, channels=channels)
 
@@ -297,31 +297,14 @@ def _run_eid(config):
     return series, summary
 
 
-def _lorentzian_scenario(n, omega_max, center, width, cross_width, amplitude):
+def _lorentzian_kernel(grid, center, width, cross_width):
     # same center-of-mass profile as the gaussian family, lorentzian
     # cross profile; no closed-form envelope is asserted for the fit
-    grid = EnergyGrid.uniform(0.0, omega_max, n)
     w = grid.omega
     mean = 0.5 * np.add.outer(w, w)
     diff = np.subtract.outer(w, w)
-    profile = np.exp(-((mean - center) ** 2) / (2 * width ** 2)) \
+    return np.exp(-((mean - center) ** 2) / (2 * width ** 2)) \
         / (1.0 + (diff / cross_width) ** 2)
-    rho_diag = np.exp(-((w - center) ** 2) / (2 * width ** 2))
-    rho_diag = rho_diag / float(np.sum(grid.weights * rho_diag))
-    state = VanHoveState(grid, rho_diag, amplitude * profile)
-    obs_diag = np.exp(-((w - center) ** 2) / (2 * 1.5 ** 2))
-    return state, VanHoveObservable(grid, obs_diag, profile)
-
-
-def _table_scenario(n, omega_max, center, width, amplitude, kernel_csv):
-    grid = EnergyGrid.uniform(0.0, omega_max, n)
-    w = grid.omega
-    kernel = load_table_kernel(kernel_csv, grid)
-    rho_diag = np.exp(-((w - center) ** 2) / (2 * width ** 2))
-    rho_diag = rho_diag / float(np.sum(grid.weights * rho_diag))
-    state = VanHoveState(grid, rho_diag, amplitude * kernel)
-    obs_diag = np.exp(-((w - center) ** 2) / (2 * 1.5 ** 2))
-    return state, VanHoveObservable(grid, obs_diag, kernel)
 
 
 def _run_sid(config):
@@ -331,14 +314,15 @@ def _run_sid(config):
                                        center=p["center"], width=p["width"],
                                        cross_width=p["cross_width"],
                                        amplitude=p["amplitude"])
-    elif p["family"] == "lorentzian":
-        state, obs = _lorentzian_scenario(p["n"], p["omega_max"], p["center"],
-                                          p["width"], p["cross_width"],
-                                          p["amplitude"])
     else:
-        state, obs = _table_scenario(p["n"], p["omega_max"], p["center"],
-                                     p["width"], p["amplitude"],
-                                     p["kernel_csv"])
+        grid = EnergyGrid.uniform(0.0, p["omega_max"], p["n"])
+        if p["family"] == "lorentzian":
+            kernel = _lorentzian_kernel(grid, p["center"], p["width"],
+                                        p["cross_width"])
+        else:
+            kernel = load_table_kernel(p["kernel_csv"], grid)
+        state, obs = sid_scenario(grid, kernel, p["center"], p["width"],
+                                  p["amplitude"])
 
     times = np.linspace(0.0, config.t_max, config.samples)
     limit = sid_limit(state, obs)
@@ -351,8 +335,7 @@ def _run_sid(config):
         "energy": energy,
     })
 
-    spacing = float(state.grid.omega[1] - state.grid.omega[0])
-    recurrence = 2.0 * math.pi / spacing
+    recurrence = state.grid.recurrence_window()
     fit_d = fits.fit_decoherence_time(times, series.channels["offdiag_contrib"],
                                       floor_log=config.tolerances["fit_floor_log"])
     # the closed route has no dissipation channel: <H> is a constant of
@@ -374,10 +357,12 @@ def _run_toy(config):
     states = evolve_linear_generator(toy.generator, toy.rho0, times)
     p_star = np.asarray(toy.equilibrium, dtype=float)
 
-    pops = np.array([np.real(np.diag(r)) for r in states])
-    offdiag = np.array([
-        float(np.linalg.norm(r - np.diag(np.diag(r)))) for r in states
-    ])
+    pops = states.diagonal(axis1=1, axis2=2).real
+    # Frobenius norm of each off-diagonal part, summed the way
+    # np.linalg.norm sums one matrix: real and imaginary dot products
+    off = (states * (1 - np.eye(p_star.size))).reshape(times.size, 1, -1)
+    offdiag = np.sqrt((off.real @ off.real.swapaxes(1, 2)
+                       + off.imag @ off.imag.swapaxes(1, 2))[:, 0, 0])
     diag_dist = np.linalg.norm(pops - p_star, axis=1)
     channels = {f"p{i}": pops[:, i] for i in range(p_star.size)}
     channels["offdiag_modulus"] = offdiag

@@ -126,6 +126,19 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert "no channel 'bogus'" in err and "offdiag_modulus" in err
 
+    def test_internal_key_error_propagates(self, tmp_path, monkeypatch):
+        # only a missing channel is a user error; a KeyError raised inside
+        # the program is a bug and must not turn into a clean exit 2
+        from decolab import scenarios
+
+        def broken(config, out_dir):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(scenarios, "run_scenario", broken)
+        cfg = write(tmp_path, TOY_CONFIG, "toy.ini")
+        with pytest.raises(KeyError, match="internal"):
+            main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+
 
 class TestCompareCommand:
     def test_table_and_json(self, tmp_path, capsys):

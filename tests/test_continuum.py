@@ -103,6 +103,16 @@ class TestTypeInvariants:
         with pytest.raises(DimensionMismatchError):
             VanHoveObservable(g, np.zeros(4))
 
+    @pytest.mark.parametrize("kind", [VanHoveObservable, VanHoveState,
+                                      GeneralKernelObservable])
+    def test_rejects_nan_diagonal(self, kind):
+        g = EnergyGrid.uniform(0.0, 1.0, 5)
+        diag = np.ones(5)
+        diag /= float(np.sum(g.weights * diag))
+        diag[2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            kind(g, diag)
+
 
 class TestExpectation:
     def test_diagonal_only_is_time_independent(self):

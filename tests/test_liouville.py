@@ -19,7 +19,6 @@ from decolab.liouville import (
     load_operator,
     matrix_unit_basis,
     pairing,
-    project_final_state,
     projector_defect,
     save_operator,
     unvec,
@@ -227,7 +226,7 @@ class TestLimitProjectionCommute:
         rho_star = random_density(rng, d)
         bump = random_hermitian(rng, d)
         bump -= np.trace(bump) / d * np.eye(d)
-        limit_proj = project_final_state(rho_star, pi)
+        limit_proj = coarse_grain(rho_star, pi)
         for t in (5.0, 10.0, 20.0):
             rho_t = rho_star + np.exp(-t) * bump
             dev = np.max(np.abs(coarse_grain(rho_t, pi).matrix - limit_proj.matrix))

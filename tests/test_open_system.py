@@ -216,6 +216,27 @@ class TestEvolveUnitary:
             assert_allclose(np.sort(np.linalg.eigvalsh(rho_t)), ev0, atol=1e-10)
 
 
+    def test_broadcast_matches_per_time_loop(self):
+        rng = np.random.default_rng(52)
+        h = random_hermitian(rng, 4)
+        rho0 = random_density(rng, 4)
+        times = np.linspace(0.0, 9.0, 13)
+        evals, vecs = np.linalg.eigh(h)
+        rho_eig = vecs.conj().T @ rho0 @ vecs
+        looped = []
+        for t in times:
+            phase = np.exp(-1j * evals * t)
+            looped.append(vecs @ (np.outer(phase, phase.conj()) * rho_eig)
+                          @ vecs.conj().T)
+        np.testing.assert_array_equal(evolve_unitary(rho0, h, times), looped)
+
+    def test_purity_of_stack_matches_each_state(self):
+        rng = np.random.default_rng(53)
+        stack = np.array([random_density(rng, 3) for _ in range(5)])
+        np.testing.assert_array_equal(purity(stack),
+                                      [purity(rho) for rho in stack])
+
+
 class TestSpinBathParams:
     def test_rejects_unnormalized_amplitudes(self):
         with pytest.raises(ValueError, match="expected 1"):
