@@ -22,7 +22,7 @@ print(f"grid: {grid.size} points on [0, {grid.omega[-1]:.0f}], "
       f"weak-limit value {limit:.6f}")
 
 times = np.linspace(0.0, 16.0, 161)
-values = np.array([expectation_sid(state, obs, t) for t in times])
+values = expectation_sid(state, obs, times)
 
 print("\n   t    <O>(t)      envelope (exact)")
 for k in range(0, 161, 20):
@@ -32,26 +32,26 @@ for k in range(0, 161, 20):
 # ---------------------------------------------------------------------------
 # three numbers the whole construction stands on
 # ---------------------------------------------------------------------------
-osc = np.array([offdiag_contribution(state, obs, t) for t in times])
+osc = offdiag_contribution(state, obs, times)
 fit = fit_decoherence_time(times, osc)
 print(f"\nfitted decay: power p = {fit.power}, t_D = {fit.value:.4f} "
       f"(exact gaussian width gives {np.sqrt(2) / 0.5:.4f})")
 
 ham = hamiltonian_observable(grid)
-energies = [expectation_sid(state, ham, t) for t in (0.0, 25.0, 50.0, 100.0)]
+energies = expectation_sid(state, ham, np.array([0.0, 25.0, 50.0, 100.0]))
 print("energy <H> at t = 0, 25, 50, 100:", [f"{e:.12f}" for e in energies])
 print("   (constant: the diagonal sector never evolves)")
 
-oracle_gap = max(abs(expectation_sid(state, obs, t)
-                     - discretized_unitary_oracle(state, obs, t))
-                 for t in (0.3, 1.7, 4.4))
+probe = np.array([0.3, 1.7, 4.4])
+oracle_gap = np.max(np.abs(
+    expectation_sid(state, obs, probe)
+    - [discretized_unitary_oracle(state, obs, t) for t in probe]))
 print("gap to the discretized-unitary oracle:", f"{oracle_gap:.2e}")
 
 # ---------------------------------------------------------------------------
 # the weak limit, detected from the record rather than assumed
 # ---------------------------------------------------------------------------
-spacing = grid.omega[1] - grid.omega[0]
-t_rec = 2 * np.pi / spacing
+t_rec = grid.recurrence_window()
 report = detect_weak_limit(times, {"expectation": values}, epsilon=1e-3,
                            recurrence_window=t_rec)
 print(f"\nexpectation settles to {report.equilibrium['expectation']:.6f} "

@@ -21,7 +21,6 @@ off-diagonal kernel, so diag(rho) is exactly time-invariant.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -232,23 +231,26 @@ def _same_grid(a, b):
 
 
 def expectation_sid(state, obs, t, with_residue=False):
-    """The time-dependent pairing <O>_rho(t).
+    """The pairing <O>_rho(t) at a scalar time or at an array of times.
 
     Diagonal sector: quadrature of rho(w) O(w).  Off-diagonal sector: the
-    double quadrature of rho(w', w) O(w, w') e^{-i(w-w')t}.  The result
-    of the Hermitian-kernel double sum is real up to roundoff; the
-    imaginary residue is available via ``with_residue``.  Summation is
-    numpy pairwise over a fixed layout, so results are deterministic.
+    double quadrature of rho(w', w) O(w, w') e^{-i(w-w')t}; its phase
+    factorizes as e^{-iwt} e^{+iw't}, so each time costs N phases, not N^2.
+    The value has the shape of ``t``; its imaginary residue (roundoff for
+    Hermitian kernels) comes back too with ``with_residue``.  The sum is
+    an ``np.einsum``, not a BLAS product whose summation order depends on
+    the thread count, so results are byte-identical for any BLAS threads.
     """
     diag_part = sid_limit(state, obs)
     g = state.grid
-    # term(i, j) = rho(w_j, w_i) O(w_i, w_j) e^{-i(w_i - w_j) t} q_i q_j
-    phase = np.exp(-1j * float(t) * np.subtract.outer(g.omega, g.omega))
-    ww = np.outer(g.weights, g.weights)
-    total = complex(np.sum(state.offdiag.T * obs.offdiag * phase * ww))
+    # cross(i, j) = rho(w_j, w_i) O(w_i, w_j) q_i q_j
+    cross = state.offdiag.T * obs.offdiag * np.outer(g.weights, g.weights)
+    phase = np.exp(-1j * np.multiply.outer(np.asarray(t, dtype=float), g.omega))
+    total = np.sum(np.einsum("...i,ij->...j", phase, cross) * phase.conj(),
+                   axis=-1)
     value = diag_part + total.real
     if with_residue:
-        return value, abs(total.imag)
+        return value, np.abs(total.imag)
     return value
 
 
@@ -263,10 +265,9 @@ def sid_limit(state, obs):
     return float(np.sum(state.grid.weights * state.diag * obs.diag))
 
 
-def energy_expectation(state, grid=None):
+def energy_expectation(state):
     """<H> = int rho(w) w dw; time-independent since H has no regular kernel."""
-    g = state.grid if grid is None else grid
-    _same_grid(g, state.grid)
+    g = state.grid
     return float(np.sum(g.weights * state.diag * g.omega))
 
 
@@ -512,27 +513,33 @@ def load_table_kernel(path, grid):
     exactly once (values matched to grid points within TABLE_MATCH_TOL);
     the assembled kernel must be Hermitian.
     """
-    n = grid.size
-    kernel = np.full((n, n), np.nan, dtype=complex)
-    with open(path, newline="") as fh:
-        for row_no, row in enumerate(csv.reader(fh), start=1):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if len(row) != 4:
-                raise ValueError(f"{path}:{row_no}: expected 4 columns")
-            w, wp, re, im = (float(x) for x in row)
-            i = int(np.argmin(np.abs(grid.omega - w)))
-            j = int(np.argmin(np.abs(grid.omega - wp)))
-            if abs(grid.omega[i] - w) > TABLE_MATCH_TOL or \
-                    abs(grid.omega[j] - wp) > TABLE_MATCH_TOL:
-                raise ValueError(
-                    f"{path}:{row_no}: ({w}, {wp}) is not a grid point"
-                )
-            kernel[i, j] = complex(re, im)
-    missing = int(np.sum(np.isnan(kernel.real)))
+    try:
+        table = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if table.shape[1] != 4:
+        raise ValueError(f"{path}: need 4 columns, read shape {table.shape}")
+    w, pts = grid.omega, table[:, :2]
+    # nearest grid point of each energy; a tie goes to the lower one
+    hi = np.clip(np.searchsorted(w, pts), 1, grid.size - 1)
+    idx = np.where(np.abs(w[hi - 1] - pts) <= np.abs(w[hi] - pts), hi - 1, hi)
+    # written as "not within" so that a NaN energy is refused too
+    off = ~np.all(np.abs(w[idx] - pts) <= TABLE_MATCH_TOL, axis=1)
+    if off.any():
+        wi, wj = pts[np.argmax(off)]
+        raise ValueError(f"{path}: ({wi}, {wj}) is not a grid point")
+    flat = idx[:, 0] * grid.size + idx[:, 1]
+    counts = np.bincount(flat, minlength=grid.size ** 2)
+    if counts.max() > 1:
+        wi, wj = pts[np.argmax(counts[flat] > 1)]
+        raise ValueError(f"{path}: ({wi}, {wj}) is given more than once")
+    missing = int(np.sum(counts == 0))
     if missing:
         raise ValueError(f"{path}: kernel incomplete, {missing} grid pairs unset")
-    return _check_kernel(grid, kernel, "table")
+    kernel = np.empty(grid.size ** 2, dtype=complex)
+    kernel.real[flat] = table[:, 2]
+    kernel.imag[flat] = table[:, 3]
+    return _check_kernel(grid, kernel.reshape(grid.size, grid.size), "table")
 
 
 # ---------------------------------------------------------------------------

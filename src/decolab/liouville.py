@@ -45,6 +45,7 @@ __all__ = [
     "build_projector",
     "biorthogonalize",
     "coarse_grain",
+    "state_map",
     "matrix_unit_basis",
     "diagonal_projector",
     "save_operator",
@@ -241,13 +242,9 @@ class BiorthogonalBasis:
 
     def gram(self):
         """Pairing matrix G_ab = <rho_a|O_b>."""
-        n = self.size
-        g = np.empty((n, n), dtype=complex)
-        for a, f in enumerate(self.functionals):
-            fv = np.conj(vec(f))
-            for b, o in enumerate(self.observables):
-                g[a, b] = fv @ vec(o)
-        return g
+        fun = np.array([vec(f) for f in self.functionals])
+        obs = np.array([vec(o) for o in self.observables])
+        return np.einsum("ai,bi->ab", fun.conj(), obs)
 
 
 def projector_defect(m):
@@ -276,11 +273,9 @@ def build_projector(basis):
             f"{'1' if a == b else '0'} by {worst:.3e} "
             f"(tol {BIORTHOGONALITY_TOL:.1e}); biorthogonalize the pairs first"
         )
-    d2 = basis.dim ** 2
-    pi = np.zeros((d2, d2), dtype=complex)
-    for o, f in zip(basis.observables, basis.functionals):
-        pi += np.outer(vec(o), np.conj(vec(f)))
-    return pi
+    obs = np.array([vec(o) for o in basis.observables])
+    fun = np.array([vec(f) for f in basis.functionals])
+    return np.einsum("ai,aj->ij", obs, fun.conj())
 
 
 def biorthogonalize(observables, functionals):
@@ -299,12 +294,7 @@ def biorthogonalize(observables, functionals):
     except np.linalg.LinAlgError as exc:
         raise BiorthogonalityError(f"degenerate pairs, Gram matrix singular: {exc}")
     # <rho'_a|O_b> = sum_c conj(conj(Ginv)_ac) <rho_c|O_b> = (Ginv G)_ab.
-    new_fun = []
-    for a in range(basis.size):
-        f = np.zeros_like(basis.functionals[0])
-        for c in range(basis.size):
-            f = f + np.conj(ginv[a, c]) * basis.functionals[c]
-        new_fun.append(f)
+    new_fun = np.einsum("ac,cij->aij", ginv.conj(), np.array(basis.functionals))
     return BiorthogonalBasis(basis.observables, new_fun)
 
 
@@ -322,7 +312,16 @@ def coarse_grain(rho, pi):
         raise DimensionMismatchError(
             f"projector shape {pi.shape} vs state dim {d}"
         )
-    return CoarseState(unvec(pi.conj().T @ vec(rho)))
+    return CoarseState(unvec(state_map(pi) @ vec(rho)))
+
+
+def state_map(pi):
+    """pi^dag: the bra action (rho| -> (rho|pi on vectorized states.
+
+    ``vec(rho_G) = state_map(pi) @ vec(rho)``; only a Hermitian pi is its
+    own state map.  Every route that projects or evolves states uses it.
+    """
+    return np.asarray(pi).conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -334,22 +333,14 @@ def matrix_unit_basis(d):
 
     Complete, so the resulting projector is the identity superoperator.
     """
-    units = []
-    for j in range(d):
-        for i in range(d):
-            m = np.zeros((d, d), dtype=complex)
-            m[i, j] = 1.0
-            units.append(m)
+    units = [unvec(e) for e in np.eye(d * d, dtype=complex)]
     return BiorthogonalBasis(units, units)
 
 
 def diagonal_projector(d):
     """Superoperator keeping the diagonal entries of a d x d matrix."""
-    basis = BiorthogonalBasis(
-        [np.diag(np.eye(d, dtype=complex)[i]) for i in range(d)],
-        [np.diag(np.eye(d, dtype=complex)[i]) for i in range(d)],
-    )
-    return build_projector(basis)
+    units = [np.diag(e) for e in np.eye(d, dtype=complex)]
+    return build_projector(BiorthogonalBasis(units, units))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Coarse-grained dynamics as a projected Liouville equation.
 
 With L the commutator superoperator (i d|rho)/dt = L|rho), hbar = 1) and
-pi a coarse-graining projector, the projected state obeys
+P = pi^dag (``liouville.state_map``) for a projector pi, |rho_G) = P|rho) obeys
 
-    i d|rho_G)/dt = L|rho_G) + N|rho(t)),      N = pi L - L pi,
+    i d|rho_G)/dt = L|rho_G) + N|rho(t)),      N = P L - L P,
 
 which is exact but not closed: the defect N feeds the fine-grained state
 back in.  The P/Q elimination closes it at the price of memory: with
@@ -13,7 +13,7 @@ Q = 1 - P and y = P|rho),
               - i int_0^t PLQ e^{-iQLQ(t-s)} QLP y(s) ds.
 
 Both forms are integrated here and cross-validated against the oracle
-pi applied to the exactly evolved state.  The convolution is realized
+``coarse_grain`` of the exactly evolved state.  The convolution is realized
 by auxiliary memory modes (the eigenmodes of QLQ on range(Q)), which
 reproduces the memory integral exactly rather than by kernel sampling;
 an optional finite memory window truncates the integral explicitly and
@@ -37,6 +37,7 @@ from .liouville import (
     CoarseState,
     DimensionMismatchError,
     require_hermitian,
+    state_map,
     unvec,
     validate_observable,
     vec,
@@ -157,19 +158,19 @@ def _integrate_complex(rhs, y0, times, rtol, atol):
 
 
 def evolve_master_exact(rho0, pi, liouville, times):
-    """Integrate i d|rho_G)/dt = L|rho_G) + N|rho(t)).
+    """Integrate i d|rho_G)/dt = L|rho_G) + N|rho(t)), N = PL - LP.
 
     The feedback term uses |rho(t)) from the exact unitary group
     e^{-iLt} (eigendecomposition of the Hermitian L); the projected
     equation itself is integrated numerically, so agreement with
-    pi|rho(t)) is a consistency check, not a tautology.  Returns a list
-    of :class:`CoarseState`.
+    coarse_grain(rho(t), pi) is a consistency check, not a tautology.
+    Returns a list of :class:`CoarseState`.
     """
-    pi = np.asarray(pi, dtype=complex)
+    p = state_map(np.asarray(pi, dtype=complex))
     lm = liouville.superop
-    n = defect(pi, liouville).superop
+    n = defect(p, liouville).superop
     x0 = vec(np.asarray(rho0, dtype=complex))
-    if pi.shape[0] != x0.size:
+    if p.shape[0] != x0.size:
         raise DimensionMismatchError("projector does not match state dimension")
     evals, vmat = np.linalg.eigh(lm)
     x0_eig = vmat.conj().T @ x0
@@ -179,7 +180,7 @@ def evolve_master_exact(rho0, pi, liouville, times):
         x_t = n_eig @ (np.exp(-1j * evals * t) * x0_eig)
         return -1j * (lm @ y + x_t)
 
-    return _coarse_states(_integrate_complex(rhs, pi @ x0, times, RTOL, ATOL))
+    return _coarse_states(_integrate_complex(rhs, p @ x0, times, RTOL, ATOL))
 
 
 # ---------------------------------------------------------------------------
@@ -193,19 +194,31 @@ def _range_basis(projector, tol=1e-10):
     return u[:, :rank]
 
 
+@dataclass(frozen=True)
+class _PQSystem:
+    """The P/Q split of L, P = pi^dag, with QLQ in its eigenmodes z."""
+
+    p: np.ndarray           # P, the state map of the projector
+    plp: np.ndarray
+    lam: np.ndarray         # eigenvalues of QLQ on range(Q)
+    into_modes: np.ndarray  # y -> dz drive
+    from_modes: np.ndarray  # z -> dy drive
+    seed: np.ndarray        # |rho) -> mode coordinates of Q|rho)
+
+
 def _pq_system(pi, liouville):
     """Restricted operators for the P/Q split of L."""
-    p = np.asarray(pi, dtype=complex)
+    p = state_map(np.asarray(pi, dtype=complex))
     lm = liouville.superop
     q = np.eye(p.shape[0], dtype=complex) - p
     u_q = _range_basis(q)
     a = u_q.conj().T @ (q @ lm @ q) @ u_q      # QLQ on range(Q)
     lam, smat = np.linalg.eig(a)
     s_inv = np.linalg.inv(smat)
-    plp = p @ lm @ p
-    into_modes = s_inv @ u_q.conj().T @ (q @ lm @ p)   # y -> dz drive
-    from_modes = p @ lm @ (u_q @ smat)                 # z -> dy drive
-    return p, q, plp, lam, into_modes, from_modes, u_q, smat, s_inv
+    return _PQSystem(p=p, plp=p @ lm @ p, lam=lam,
+                     into_modes=s_inv @ u_q.conj().T @ (q @ lm @ p),
+                     from_modes=p @ lm @ (u_q @ smat),
+                     seed=s_inv @ u_q.conj().T @ q)
 
 
 @dataclass(frozen=True)
@@ -226,18 +239,18 @@ def memory_kernel(pi, liouville, taus):
     Returns a :class:`MemoryKernel` whose matrices act on coordinates in
     the returned orthonormal basis of range(P); K(0) is PLQ QLP itself.
     """
-    p, q, _, lam, into_modes, from_modes, *_ = _pq_system(pi, liouville)
-    u_p = _range_basis(p)
-    left = u_p.conj().T @ from_modes
-    right = into_modes @ u_p
+    pq = _pq_system(pi, liouville)
+    u_p = _range_basis(pq.p)
+    left = u_p.conj().T @ pq.from_modes
+    right = pq.into_modes @ u_p
     taus = np.asarray(taus, dtype=float)
-    phase = np.exp(-1j * lam * taus[:, None])
+    phase = np.exp(-1j * pq.lam * taus[:, None])
     return MemoryKernel(taus, (left * phase[:, None, :]) @ right, u_p)
 
 
 def evolve_nakajima_zwanzig(rho0, pi, liouville, times, kernel_window=None,
                             relevant_only=True):
-    """Solve the closed P/Q equation for y = P|rho).
+    """Solve the closed P/Q equation for y = P|rho), P = state_map(pi).
 
     The memory integral is carried exactly by the eigenmodes of QLQ on
     range(Q): the pair (y, z) with z the mode coordinates of Q|rho)
@@ -253,14 +266,10 @@ def evolve_nakajima_zwanzig(rho0, pi, liouville, times, kernel_window=None,
     windowed path requires ``relevant_only``.
     """
     times = np.asarray(times, dtype=float)
-    p, q, plp, lam, into_modes, from_modes, u_q, smat, s_inv = \
-        _pq_system(pi, liouville)
+    pq = _pq_system(pi, liouville)
     x0 = vec(np.asarray(rho0, dtype=complex))
-    y0 = p @ x0
-    if relevant_only:
-        z0 = np.zeros(lam.size, dtype=complex)
-    else:
-        z0 = s_inv @ (u_q.conj().T @ (q @ x0))
+    y0 = pq.p @ x0
+    z0 = np.zeros(pq.lam.size, dtype=complex) if relevant_only else pq.seed @ x0
     horizon = float(times[-1] - times[0])
 
     if kernel_window is None or kernel_window >= horizon:
@@ -269,8 +278,8 @@ def evolve_nakajima_zwanzig(rho0, pi, liouville, times, kernel_window=None,
 
         def rhs(t, yz):
             y, z = yz[:ny], yz[ny:]
-            dy = -1j * (plp @ y + from_modes @ z)
-            dz = -1j * (lam * z + into_modes @ y)
+            dy = -1j * (pq.plp @ y + pq.from_modes @ z)
+            dz = -1j * (pq.lam * z + pq.into_modes @ y)
             return np.concatenate([dy, dz])
 
         ys = _integrate_complex(rhs, yz0, times, RTOL, ATOL)
@@ -285,17 +294,16 @@ def evolve_nakajima_zwanzig(rho0, pi, liouville, times, kernel_window=None,
     # crude tail bound: |e^{-iQLQ tau}| stays O(1) on a real spectrum, so
     # nothing decays by itself and the dropped history is bounded only by
     # its duration times the coupling strengths
-    drop = (np.linalg.norm(from_modes, 2) * np.linalg.norm(into_modes, 2)
+    drop = (np.linalg.norm(pq.from_modes, 2) * np.linalg.norm(pq.into_modes, 2)
             * max(horizon - kernel_window, 0.0))
     warnings.warn(
         f"memory window {kernel_window} is shorter than the horizon "
         f"{horizon}; dropped-tail bound ~ {drop:.3e} * sup|y|",
         RuntimeWarning, stacklevel=2)
-    return _nz_windowed(y0, lam, plp, into_modes, from_modes, times,
-                        kernel_window)
+    return _nz_windowed(y0, pq, times, kernel_window)
 
 
-def _nz_windowed(y0, lam, plp, into_modes, from_modes, times, window):
+def _nz_windowed(y0, pq, times, window):
     """Fixed-step integration with the mode history cut at t - window.
 
     Each requested time reads y at the nearest integration step.
@@ -306,6 +314,7 @@ def _nz_windowed(y0, lam, plp, into_modes, from_modes, times, window):
     dt = min(0.002, window / 50)
     steps = int(np.ceil((t1 - t0) / dt))
     dt = (t1 - t0) / steps
+    lam, plp, into_modes, from_modes = pq.lam, pq.plp, pq.into_modes, pq.from_modes
     decay = np.exp(-1j * lam * window)
     grid = t0 + dt * np.arange(steps + 1)
     # each time reads the first step within half a step of it: the one

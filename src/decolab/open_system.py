@@ -27,6 +27,7 @@ from .liouville import (
     BiorthogonalBasis,
     DimensionMismatchError,
     build_projector,
+    unvec,
     validate_density,
     validate_observable,
 )
@@ -152,15 +153,9 @@ def eid_projector(dim_s, dim_e):
     Built from the biorthonormal pairs E_ij (x) I_E/sqrt(dim_E) (matrix
     units on the system factor), so it is Hermitian as well as idempotent.
     """
-    pairs = []
     eye_e = np.eye(dim_e, dtype=complex) / np.sqrt(dim_e)
-    for j in range(dim_s):
-        for i in range(dim_s):
-            unit = np.zeros((dim_s, dim_s), dtype=complex)
-            unit[i, j] = 1.0
-            pairs.append(np.kron(unit, eye_e))
-    basis = BiorthogonalBasis(pairs, pairs)
-    return build_projector(basis)
+    pairs = [np.kron(unvec(e), eye_e) for e in np.eye(dim_s ** 2, dtype=complex)]
+    return build_projector(BiorthogonalBasis(pairs, pairs))
 
 
 def coarse_state_eid(rho_s, dim_e):

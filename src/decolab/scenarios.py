@@ -325,13 +325,11 @@ def _run_sid(config):
                                   p["amplitude"])
 
     times = np.linspace(0.0, config.t_max, config.samples)
-    limit = sid_limit(state, obs)
-    ham = hamiltonian_observable(state.grid)
-    expect = np.array([expectation_sid(state, obs, t) for t in times])
-    energy = np.array([expectation_sid(state, ham, t) for t in times])
+    expect = expectation_sid(state, obs, times)
+    energy = expectation_sid(state, hamiltonian_observable(state.grid), times)
     series = TimeSeries(times=times, channels={
         "expectation": expect,
-        "offdiag_contrib": expect - limit,
+        "offdiag_contrib": expect - sid_limit(state, obs),
         "energy": energy,
     })
 

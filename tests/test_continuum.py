@@ -133,10 +133,18 @@ class TestExpectation:
     def test_gaussian_envelope_analytic(self, gaussian):
         # rho_off * O_off has cross profile exp(-(w-w')^2 / (2 * 0.5^2)),
         # whose Fourier transform gives envelope exp(-0.25 t^2 / 2)
+        # the array call equals the per-time scalar calls
         state, obs = gaussian
         base = offdiag_contribution(state, obs, 0.0)
-        for t in (0.0, 1.0, 2.0, 4.0):
+        ts = np.array([0.0, 1.0, 2.0, 4.0])
+        batched = offdiag_contribution(state, obs, ts)
+        assert batched.shape == ts.shape
+        assert offdiag_contribution(state, obs, ts.reshape(2, 2)).shape \
+            == (2, 2)
+        for t, b in zip(ts, batched):
             num = offdiag_contribution(state, obs, t)
+            assert np.ndim(num) == 0
+            assert abs(b - num) <= 1e-15
             exact = base * gaussian_envelope(t)
             assert abs(num - exact) <= 1e-4 * abs(exact)
 
@@ -144,6 +152,10 @@ class TestExpectation:
         state, obs = gaussian
         _, residue = expectation_sid(state, obs, 1.7, with_residue=True)
         assert residue <= 1e-10
+        _, residues = expectation_sid(state, obs, np.array([0.3, 1.7]),
+                                      with_residue=True)
+        assert residues.shape == (2,)
+        assert np.max(residues) <= 1e-10
 
     def test_grid_mismatch_rejected(self, gaussian):
         state, _ = gaussian
@@ -412,9 +424,11 @@ class TestDiscretizedOracle:
     def test_matches_pairing_at_random_times(self, gaussian):
         state, obs = gaussian
         rng = np.random.default_rng(8)
-        for t in rng.uniform(0.0, 80.0, 20):
-            assert abs(expectation_sid(state, obs, t)
-                       - discretized_unitary_oracle(state, obs, t)) <= 1e-8
+        ts = rng.uniform(0.0, 80.0, 20)
+        for t, batched in zip(ts, expectation_sid(state, obs, ts)):
+            want = discretized_unitary_oracle(state, obs, t)
+            assert abs(expectation_sid(state, obs, t) - want) <= 1e-8
+            assert abs(batched - want) <= 1e-8
 
     def test_t0_plain_quadrature(self, gaussian):
         state, obs = gaussian
@@ -466,9 +480,27 @@ class TestKernelDiagnostics:
         with pytest.raises(ValueError, match="incomplete"):
             load_table_kernel(path, g)
 
+    def test_table_kernel_duplicate_rejected(self, tmp_path):
+        # complete, but (0, 0) is given twice: no row may silently win
+        g = EnergyGrid.uniform(0.0, 1.0, 2)
+        path = tmp_path / "kernel.csv"
+        path.write_text("0.0,0.0,1.0,0.0\n0.0,1.0,0.0,0.0\n"
+                        "1.0,0.0,0.0,0.0\n1.0,1.0,1.0,0.0\n"
+                        "0.0,0.0,2.0,0.0\n")
+        with pytest.raises(ValueError, match="more than once"):
+            load_table_kernel(path, g)
+
+    def test_table_kernel_needs_four_columns(self, tmp_path):
+        g = EnergyGrid.uniform(0.0, 1.0, 3)
+        path = tmp_path / "kernel.csv"
+        path.write_text("0.0,0.0,1.0\n")
+        with pytest.raises(ValueError, match="4 columns"):
+            load_table_kernel(path, g)
+
     def test_table_kernel_off_grid_rejected(self, tmp_path):
         g = EnergyGrid.uniform(0.0, 1.0, 3)
         path = tmp_path / "kernel.csv"
-        path.write_text("0.77,0.0,1.0,0.0\n")
-        with pytest.raises(ValueError, match="grid point"):
-            load_table_kernel(path, g)
+        for row in ("0.77,0.0,1.0,0.0", "nan,0.0,1.0,0.0"):
+            path.write_text(row + "\n")
+            with pytest.raises(ValueError, match="grid point"):
+                load_table_kernel(path, g)

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import decolab
 from decolab.open_system import SpinBathParams, spin_bath_coherence
 from decolab.scenarios import (ConfigError, ScenarioConfig, parse_config,
                                run_scenario)
@@ -284,6 +289,25 @@ class TestSidRunner:
         r2 = run_scenario(cfg, tmp_path / "b")
         assert r1.csv_path.read_bytes() == r2.csv_path.read_bytes()
         assert r1.json_path.read_bytes() == r2.json_path.read_bytes()
+
+    def test_one_blas_thread_writes_same_bytes(self, tmp_path):
+        # a BLAS product may sum in an order set by the thread count; the
+        # pairing must give the same bytes with one thread as with the
+        # default.  n = 300 is a size at which a two-thread OpenBLAS zgemm
+        # was seen to sum differently from a one-thread one (200 and 400
+        # were not).
+        cfg = write_config(tmp_path, SID_CONFIG.replace(
+            "n = 200", "n = 300\nfamily = lorentzian"))
+        here = run_scenario(parse_config(cfg), tmp_path / "here")
+        src = str(Path(decolab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+        subprocess.run([sys.executable, "-m", "decolab.cli", "run",
+                        "--config", str(cfg), "--out", str(tmp_path / "child")],
+                       env=env, check=True, timeout=120)
+        for path in (here.csv_path, here.json_path):
+            child = tmp_path / "child" / path.name
+            assert child.read_bytes() == path.read_bytes()
 
 
 class TestToyRunner:
