@@ -22,6 +22,7 @@ off-diagonal kernel, so diag(rho) is exactly time-invariant.
 from __future__ import annotations
 
 import logging
+import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -514,9 +515,13 @@ def load_table_kernel(path, grid):
     the assembled kernel must be Hermitian.
     """
     try:
-        table = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    if not table.size:
+        raise ValueError(f"{path}: empty table, no data rows")
     if table.shape[1] != 4:
         raise ValueError(f"{path}: need 4 columns, read shape {table.shape}")
     w, pts = grid.omega, table[:, :2]

@@ -255,21 +255,31 @@ def spin_bath_scenario(params):
 
 
 def spin_bath_reduced_dynamics(params, times):
-    """rho_S(t) from the full 2^(n+1)-dimensional simulation.
+    """rho_S(t) from the full 2^(n+1)-dimensional simulation, no approximation.
 
-    H is diagonal in the product basis and the initial state is pure, so
-    the exact evolution is a phase mask on the state vector; the partial
-    trace of |psi><psi| is psi_mat @ psi_mat^dag with psi reshaped to
-    (2, 2^n).  No approximation is made.  Returns (len(times), 2, 2).
+    H is a sum of commuting single-spin terms, so psi(t) is psi0 times the
+    Kronecker product over bath spins k (spin 0 most significant) of
+    (e^{-i g_k t/2}, e^{+i g_k t/2}), conjugated for the system spin down;
+    rho_S = psi_mat @ psi_mat^dag.  Returns ``np.shape(times) + (2, 2)``.
     """
     _check_spin_cap(params.n_spins)
-    diag = spin_bath_hamiltonian_diagonal(params)
-    psi0 = spin_bath_initial_vector(params)
-    out = np.empty((len(times), 2, 2), dtype=complex)
-    for k, t in enumerate(times):
-        psi_mat = (np.exp(-1j * diag * t) * psi0).reshape(2, -1)
+    times = np.asarray(times, dtype=float)
+    up = np.exp(-0.5j * np.multiply.outer(times.ravel(), params.couplings))
+    pairs = np.stack([up, up.conj()], axis=-1)  # (T, spin, its bit)
+    halves = []
+    for part in np.split(pairs, [params.n_spins // 2], axis=1):
+        table = np.ones((times.size, 1), dtype=complex)
+        for k in range(part.shape[1]):
+            table = (table[:, :, None] * part[:, k, None]).reshape(
+                times.size, 2 << k)
+        halves.append(table)
+    psi0 = spin_bath_initial_vector(params).reshape(2, -1)
+    out = np.empty((times.size, 2, 2), dtype=complex)
+    for k, (hi, lo) in enumerate(zip(*halves)):
+        hi, lo = np.array([hi, hi.conj()]), np.array([lo, lo.conj()])
+        psi_mat = (hi[:, :, None] * lo[:, None, :]).reshape(2, -1) * psi0
         out[k] = psi_mat @ psi_mat.conj().T
-    return out
+    return out.reshape(times.shape + (2, 2))
 
 
 def spin_bath_coherence(params, times):

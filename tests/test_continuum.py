@@ -1,5 +1,7 @@
 """Kernel pairing, weak limits, projector, smoothing, measurement rebuild."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -496,6 +498,15 @@ class TestKernelDiagnostics:
         path.write_text("0.0,0.0,1.0\n")
         with pytest.raises(ValueError, match="4 columns"):
             load_table_kernel(path, g)
+
+    def test_table_kernel_empty_rejected_without_warning(self, tmp_path):
+        g = EnergyGrid.uniform(0.0, 1.0, 3)
+        path = tmp_path / "kernel.csv"
+        path.write_text("# omega, omega', re, im\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="kernel.csv: empty table"):
+                load_table_kernel(path, g)
 
     def test_table_kernel_off_grid_rejected(self, tmp_path):
         g = EnergyGrid.uniform(0.0, 1.0, 3)

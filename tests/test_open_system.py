@@ -14,6 +14,7 @@ from decolab.liouville import (
 )
 from decolab.open_system import (
     CompositeSystem,
+    SPIN_CAP,
     ResourceCapError,
     SpinBathParams,
     coarse_state_eid,
@@ -282,20 +283,53 @@ class TestSpinBathScenario:
             assert abs(abs(rho_s[0, 1]) - envelope[k]) <= 1e-10
 
     def test_reduced_dynamics_matches_dense_path(self):
+        # the dense route reads spin_bath_hamiltonian_diagonal, so this pins
+        # the bit order of the Kronecker-built phase; n = 1 leaves one
+        # half-bath table empty, and unsorted, non-uniform times check that
+        # each time keeps its own row
         rng = np.random.default_rng(61)
-        n = 3
+        for n in (1, 2, 3, 7):
+            params = SpinBathParams(
+                couplings=tuple(rng.uniform(0.5, 1.5, n)),
+                angles=tuple(rng.uniform(0, np.pi, n)),
+                amplitude_0=np.sqrt(0.7),
+                amplitude_1=np.sqrt(0.3) * np.exp(0.4j),
+            )
+            system, rho0 = spin_bath_scenario(params)
+            times = np.concatenate([np.linspace(0.0, 5.0, 20),
+                                    rng.uniform(0.0, 8.0, 10)])
+            dense = evolve_unitary(rho0, system.hamiltonian, times)
+            reduced = spin_bath_reduced_dynamics(params, times)
+            for k in range(len(times)):
+                gap = reduced[k] - partial_trace(dense[k], 2, 2 ** n)
+                assert np.max(np.abs(gap)) <= 1e-12
+
+    def test_reduced_dynamics_at_cap_matches_closed_form(self):
+        rng = np.random.default_rng(62)
         params = SpinBathParams(
-            couplings=tuple(rng.uniform(0.5, 1.5, n)),
-            angles=tuple(rng.uniform(0, np.pi, n)),
+            couplings=tuple(rng.uniform(0.5, 1.5, SPIN_CAP)),
+            angles=tuple(rng.uniform(0, np.pi, SPIN_CAP)),
             amplitude_0=np.sqrt(0.7), amplitude_1=np.sqrt(0.3),
         )
-        system, rho0 = spin_bath_scenario(params)
-        times = np.linspace(0.0, 5.0, 20)
-        dense = evolve_unitary(rho0, system.hamiltonian, times)
-        reduced = spin_bath_reduced_dynamics(params, times)
-        for k in range(len(times)):
-            assert_allclose(reduced[k], partial_trace(dense[k], 2, 2 ** n),
-                            atol=1e-12)
+        times = np.linspace(0.0, 40.0, 50)
+        series = spin_bath_reduced_dynamics(params, times)
+        coh = spin_bath_coherence(params, times)
+        assert np.max(np.abs(series[:, 0, 1] - coh)) <= 1e-10
+        assert np.max(np.abs(series[:, 0, 0] - 0.7)) <= 1e-12
+        assert np.max(np.abs(series[:, 1, 1] - 0.3)) <= 1e-12
+
+    def test_reduced_dynamics_keeps_the_shape_of_times(self):
+        params = SpinBathParams(couplings=(0.8, 1.2, 0.6),
+                                angles=(0.3, 1.0, 2.0))
+        times = np.array([[0.0, 0.5, 1.0], [1.5, 4.0, 9.0]])
+        grid = spin_bath_reduced_dynamics(params, times)
+        assert grid.shape == (2, 3, 2, 2)
+        flat = spin_bath_reduced_dynamics(params, times.ravel())
+        assert_allclose(grid.reshape(6, 2, 2), flat, rtol=0, atol=1e-15)
+        one = spin_bath_reduced_dynamics(params, 1.5)
+        assert one.shape == (2, 2)
+        assert_allclose(one, grid[1, 0], rtol=0, atol=1e-15)
+        assert spin_bath_reduced_dynamics(params, []).shape == (0, 2, 2)
 
     def test_diagonals_constant(self):
         params = SpinBathParams(

@@ -23,6 +23,26 @@ def write_config(tmp_path, text, name="scenario.ini"):
     return path
 
 
+def assert_one_blas_thread_writes_same_bytes(tmp_path, text):
+    """A run in a child with one BLAS thread writes the same CSV and JSON.
+
+    A BLAS product may sum in an order set by the thread count; the
+    records must come out byte-identical with one thread as with the
+    default.
+    """
+    cfg = write_config(tmp_path, text)
+    here = run_scenario(parse_config(cfg), tmp_path / "here")
+    src = str(Path(decolab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    subprocess.run([sys.executable, "-m", "decolab.cli", "run",
+                    "--config", str(cfg), "--out", str(tmp_path / "child")],
+                   env=env, check=True, timeout=120)
+    for path in (here.csv_path, here.json_path):
+        child = tmp_path / "child" / path.name
+        assert child.read_bytes() == path.read_bytes()
+
+
 EID_CONFIG = """
 [scenario]
 kind = eid-spin-bath
@@ -218,6 +238,11 @@ class TestEidRunner:
         assert r1.csv_path.read_bytes() == r2.csv_path.read_bytes()
         assert r1.json_path.read_bytes() == r2.json_path.read_bytes()
 
+    def test_one_blas_thread_writes_same_bytes(self, tmp_path):
+        # at the spin cap the partial trace is a 2 x 2^14 zgemm per sample
+        assert_one_blas_thread_writes_same_bytes(tmp_path, EID_CONFIG.replace(
+            "n_spins = 6", "n_spins = 14\nbath_angle = random"))
+
     def test_different_seed_changes_record(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, EID_CONFIG))
         other = parse_config(write_config(tmp_path, EID_CONFIG), seed=4)
@@ -291,23 +316,10 @@ class TestSidRunner:
         assert r1.json_path.read_bytes() == r2.json_path.read_bytes()
 
     def test_one_blas_thread_writes_same_bytes(self, tmp_path):
-        # a BLAS product may sum in an order set by the thread count; the
-        # pairing must give the same bytes with one thread as with the
-        # default.  n = 300 is a size at which a two-thread OpenBLAS zgemm
-        # was seen to sum differently from a one-thread one (200 and 400
-        # were not).
-        cfg = write_config(tmp_path, SID_CONFIG.replace(
+        # n = 300 is a size at which a two-thread OpenBLAS zgemm was seen
+        # to sum differently from a one-thread one (200 and 400 were not)
+        assert_one_blas_thread_writes_same_bytes(tmp_path, SID_CONFIG.replace(
             "n = 200", "n = 300\nfamily = lorentzian"))
-        here = run_scenario(parse_config(cfg), tmp_path / "here")
-        src = str(Path(decolab.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
-        subprocess.run([sys.executable, "-m", "decolab.cli", "run",
-                        "--config", str(cfg), "--out", str(tmp_path / "child")],
-                       env=env, check=True, timeout=120)
-        for path in (here.csv_path, here.json_path):
-            child = tmp_path / "child" / path.name
-            assert child.read_bytes() == path.read_bytes()
 
 
 class TestToyRunner:
