@@ -148,13 +148,13 @@ def _coarse_states(columns):
     return [CoarseState(unvec(col)) for col in columns.T]
 
 
-def _integrate_complex(rhs, y0, times, rtol, atol):
-    t0, t1 = float(times[0]), float(times[-1])
-    sol = solve_ivp(rhs, (t0, t1), y0, t_eval=np.asarray(times, dtype=float),
-                    method="DOP853", rtol=rtol, atol=atol)
+def _integrate_complex(rhs, y0, t_span, t_eval, dense_output=False):
+    """One DOP853 call at RTOL/ATOL."""
+    sol = solve_ivp(rhs, t_span, y0, t_eval=t_eval, method="DOP853",
+                    rtol=RTOL, atol=ATOL, dense_output=dense_output)
     if not sol.success:
         raise RuntimeError(f"integrator failed: {sol.message}")
-    return sol.y
+    return sol
 
 
 def evolve_master_exact(rho0, pi, liouville, times):
@@ -180,7 +180,9 @@ def evolve_master_exact(rho0, pi, liouville, times):
         x_t = n_eig @ (np.exp(-1j * evals * t) * x0_eig)
         return -1j * (lm @ y + x_t)
 
-    return _coarse_states(_integrate_complex(rhs, p @ x0, times, RTOL, ATOL))
+    times = np.asarray(times, dtype=float)
+    return _coarse_states(
+        _integrate_complex(rhs, p @ x0, (times[0], times[-1]), times).y)
 
 
 # ---------------------------------------------------------------------------
@@ -260,106 +262,69 @@ def evolve_nakajima_zwanzig(rho0, pi, liouville, times, kernel_window=None,
     is exactly the inhomogeneous term.
 
     A finite ``kernel_window`` w replaces the integral over [0, t] by
-    [t - w, t] (delayed-subtraction of the mode history, fixed-step
-    integration); if w is shorter than the requested horizon a
-    truncation warning with a crude bound estimate is emitted.  The
-    windowed path requires ``relevant_only``.
+    [t - w, t]: y is driven by z(t) - e^{-iQLQ w} z(t - w), a linear
+    delay equation solved by the method of steps, one integration per
+    window that reads z(t - w) from the previous window's dense output.
+    If w is shorter than the requested horizon a truncation warning with
+    a crude bound estimate is emitted.  The windowed path requires
+    ``relevant_only`` and strictly increasing times.
     """
     times = np.asarray(times, dtype=float)
     pq = _pq_system(pi, liouville)
     x0 = vec(np.asarray(rho0, dtype=complex))
     y0 = pq.p @ x0
     z0 = np.zeros(pq.lam.size, dtype=complex) if relevant_only else pq.seed @ x0
-    horizon = float(times[-1] - times[0])
-
-    if kernel_window is None or kernel_window >= horizon:
-        yz0 = np.concatenate([y0, z0])
-        ny = y0.size
-
-        def rhs(t, yz):
-            y, z = yz[:ny], yz[ny:]
-            dy = -1j * (pq.plp @ y + pq.from_modes @ z)
-            dz = -1j * (pq.lam * z + pq.into_modes @ y)
-            return np.concatenate([dy, dz])
-
-        ys = _integrate_complex(rhs, yz0, times, RTOL, ATOL)
-        return _coarse_states(ys[:ny])
-
-    if not relevant_only:
-        raise ValueError(
-            "a finite kernel window cannot be combined with the "
-            "inhomogeneous Q rho_0 term; the delayed subtraction would "
-            "truncate it too"
-        )
-    # crude tail bound: |e^{-iQLQ tau}| stays O(1) on a real spectrum, so
-    # nothing decays by itself and the dropped history is bounded only by
-    # its duration times the coupling strengths
-    drop = (np.linalg.norm(pq.from_modes, 2) * np.linalg.norm(pq.into_modes, 2)
-            * max(horizon - kernel_window, 0.0))
-    warnings.warn(
-        f"memory window {kernel_window} is shorter than the horizon "
-        f"{horizon}; dropped-tail bound ~ {drop:.3e} * sup|y|",
-        RuntimeWarning, stacklevel=2)
-    return _nz_windowed(y0, pq, times, kernel_window)
-
-
-def _nz_windowed(y0, pq, times, window):
-    """Fixed-step integration with the mode history cut at t - window.
-
-    Each requested time reads y at the nearest integration step.
-    """
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("sample times must be strictly increasing")
     t0, t1 = float(times[0]), float(times[-1])
-    dt = min(0.002, window / 50)
-    steps = int(np.ceil((t1 - t0) / dt))
-    dt = (t1 - t0) / steps
-    lam, plp, into_modes, from_modes = pq.lam, pq.plp, pq.into_modes, pq.from_modes
-    decay = np.exp(-1j * lam * window)
-    grid = t0 + dt * np.arange(steps + 1)
-    # each time reads the first step within half a step of it: the one
-    # at or below it, else the next
-    below = np.clip(np.searchsorted(grid, times, side="right") - 1,
-                    0, steps - 1)
-    pick = np.where(np.abs(times - grid[below]) <= 0.5 * dt, below, below + 1)
-    wanted = set(pick.tolist())
-    hist_z = np.zeros((steps + 1, lam.size), dtype=complex)
+    horizon = t1 - t0
+    edges = [t0, t1]
 
-    def z_at(t):
-        # linear interpolation into the recorded history; zero before t0
-        if t <= t0:
-            return np.zeros(lam.size, dtype=complex)
-        k = min(int((t - t0) / dt), steps - 1)
-        frac = (t - grid[k]) / dt
-        return hist_z[k] * (1 - frac) + hist_z[k + 1] * frac
+    if kernel_window is not None and kernel_window < horizon:
+        if not relevant_only:
+            raise ValueError(
+                "a finite kernel window cannot be combined with the "
+                "inhomogeneous Q rho_0 term; the delayed subtraction would "
+                "truncate it too"
+            )
+        # crude tail bound: |e^{-iQLQ tau}| stays O(1) on a real spectrum,
+        # so nothing decays by itself and the dropped history is bounded
+        # only by its duration times the coupling strengths
+        drop = (np.linalg.norm(pq.from_modes, 2)
+                * np.linalg.norm(pq.into_modes, 2) * (horizon - kernel_window))
+        warnings.warn(
+            f"memory window {kernel_window} is shorter than the horizon "
+            f"{horizon}; dropped-tail bound ~ {drop:.3e} * sup|y|",
+            RuntimeWarning, stacklevel=2)
+        if np.any(np.diff(times) <= 0):
+            raise ValueError("sample times must be strictly increasing")
+        decay = np.exp(-1j * pq.lam * kernel_window)
+        # segment k spans [t0 + k w, t0 + (k + 1) w], cut at t1; edges from
+        # the integer k, so a horizon of whole windows adds no sliver at t1
+        edges = [t0 + k * kernel_window
+                 for k in range(int(horizon // kernel_window) + 1)
+                 if t0 + k * kernel_window < t1] + [t1]
 
-    def windowed(z, t):
-        if t - window <= t0:
-            return z
-        return z - decay * z_at(t - window)
+    # a sample on an edge is read from the segment that ends there
+    chunks = np.split(times, np.searchsorted(times, edges[1:-1], side="right"))
+    ny = y0.size
+    history = None  # dense output of the previous segment
 
-    def f(state, tt):
-        yv, zv = state
-        dy = -1j * (plp @ yv + from_modes @ windowed(zv, tt))
-        dz = -1j * (lam * zv + into_modes @ yv)
-        return dy, dz
+    def rhs(t, yz):
+        y, z = yz[:ny], yz[ny:]
+        drive = z if history is None else \
+            z - decay * history(t - kernel_window)[ny:]
+        dy = -1j * (pq.plp @ y + pq.from_modes @ drive)
+        dz = -1j * (pq.lam * z + pq.into_modes @ y)
+        return np.concatenate([dy, dz])
 
-    y = y0.astype(complex)
-    z = np.zeros(lam.size, dtype=complex)
-    kept = {0: y}  # y at the picked steps only
-    for k in range(steps):
-        t = grid[k]
-        k1 = f((y, z), t)
-        k2 = f((y + 0.5 * dt * k1[0], z + 0.5 * dt * k1[1]), t + 0.5 * dt)
-        k3 = f((y + 0.5 * dt * k2[0], z + 0.5 * dt * k2[1]), t + 0.5 * dt)
-        k4 = f((y + dt * k3[0], z + dt * k3[1]), t + dt)
-        y = y + (dt / 6) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        z = z + (dt / 6) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        hist_z[k + 1] = z
-        if k + 1 in wanted:
-            kept[k + 1] = y
-
-    return _coarse_states(np.array([kept[k] for k in pick]).T)
+    yz, ys = np.concatenate([y0, z0]), []
+    for a, b, chunk in zip(edges, edges[1:], chunks):
+        # only a segment that has a successor keeps its dense output
+        sol = _integrate_complex(rhs, yz, (a, b), chunk, dense_output=b < t1)
+        if chunk.size:
+            ys.append(sol.y)
+        if b < t1:
+            yz, history = sol.sol(b), sol.sol
+    return _coarse_states(np.concatenate(ys, axis=1)[:ny])
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +379,10 @@ def dissipative_toy(gamma_decohere=1.0, gamma_relax=0.2):
 
 
 def evolve_linear_generator(generator, rho0, times):
-    """d|rho)/dt = G|rho) via eigendecomposition of a diagonalizable G."""
+    """d|rho)/dt = G|rho) via eigendecomposition of a diagonalizable G.
+
+    Returns an array of shape np.shape(times) + (d, d).
+    """
     g = np.asarray(generator, dtype=complex)
     x0 = vec(np.asarray(rho0, dtype=complex))
     if g.shape != (x0.size, x0.size):
@@ -425,6 +393,6 @@ def evolve_linear_generator(generator, rho0, times):
     coeff = np.linalg.solve(smat, x0)
     times = np.asarray(times, dtype=float)
     # one stacked mat-vec per time: smat @ (e^{lam t} * coeff)
-    x = smat @ (np.exp(lam * times[:, None]) * coeff)[..., None]
+    x = smat @ (np.exp(lam * times[..., None]) * coeff)[..., None]
     d = rho0.shape[0]
-    return x.reshape(times.size, d, d).swapaxes(1, 2)
+    return x.reshape(times.shape + (d, d)).swapaxes(-1, -2)

@@ -171,7 +171,7 @@ def coarse_state_eid(rho_s, dim_e):
 def evolve_unitary(rho0, hamiltonian, times):
     """rho(t) = e^{-iHt} rho0 e^{+iHt} via one eigendecomposition of H.
 
-    Returns an array of shape (len(times), d, d).
+    Returns an array of shape np.shape(times) + (d, d).
     """
     h = np.asarray(hamiltonian, dtype=complex)
     validate_observable(h)
@@ -182,9 +182,9 @@ def evolve_unitary(rho0, hamiltonian, times):
         )
     evals, vecs = np.linalg.eigh(h)
     rho_eig = vecs.conj().T @ rho0 @ vecs
-    phase = np.exp(-1j * evals * np.asarray(times, dtype=float)[:, None])
+    phase = np.exp(-1j * evals * np.asarray(times, dtype=float)[..., None])
     # e^{-iHt} rho e^{iHt} in the eigenbasis is an outer phase mask
-    mask = phase[:, :, None] * phase.conj()[:, None, :]
+    mask = phase[..., :, None] * phase.conj()[..., None, :]
     return vecs @ (mask * rho_eig) @ vecs.conj().T
 
 

@@ -62,16 +62,49 @@ class ScenarioResult:
 # ---------------------------------------------------------------------------
 
 _SCENARIO_KEYS = {"kind", "name", "seed", "t_max", "samples"}
-_PARAM_KEYS = {
-    "eid-spin-bath": {"n_spins", "coupling_min", "coupling_max", "bath_angle",
-                      "amp0"},
-    "sid-kernel": {"family", "n", "omega_max", "center", "width",
-                   "cross_width", "amplitude", "kernel_csv"},
-    "master-eq-toy": {"gamma_decohere", "gamma_relax"},
-}
 _TOL_DEFAULTS = {
     "weak_limit_epsilon": 1e-3,
     "fit_floor_log": fits.FIT_FLOOR_LOG,
+}
+
+
+def _angle(raw):
+    text = raw.strip().lower()
+    if text == "half-pi":
+        return math.pi / 2
+    if text == "random":
+        return "random"
+    return float(raw)
+
+
+_POSITIVE = (lambda x: x > 0, "must be positive")
+# per kind, each key's (cast, default or _REQUIRED, check or None, why)
+_PARAMS = {
+    "eid-spin-bath": {
+        "n_spins": (int, _REQUIRED, lambda n: 1 <= n <= SPIN_CAP,
+                    f"need 1..{SPIN_CAP} bath spins"),
+        "coupling_min": (float, 0.5, *_POSITIVE),
+        "coupling_max": (float, 1.5, *_POSITIVE),
+        "bath_angle": (_angle, math.pi / 2, None, ""),
+        "amp0": (float, 1 / math.sqrt(2), lambda a: 0 < a < 1,
+                 "need 0 < amp0 < 1"),
+    },
+    "sid-kernel": {
+        "family": (str, "gaussian", lambda f: f in SID_FAMILIES,
+                   "known families: " + ", ".join(SID_FAMILIES)),
+        "n": (int, 400, lambda n: MIN_SAMPLES <= n <= 2000,
+              f"need {MIN_SAMPLES}..2000 grid points"),
+        "omega_max": (float, 10.0, *_POSITIVE),
+        "center": (float, 5.0, None, ""),
+        "width": (float, 1.2, *_POSITIVE),
+        "cross_width": (float, 0.5, *_POSITIVE),
+        "amplitude": (float, 0.25, None, ""),
+        "kernel_csv": (str, None, None, ""),
+    },
+    "master-eq-toy": {
+        "gamma_decohere": (float, 1.0, *_POSITIVE),
+        "gamma_relax": (float, 0.2, *_POSITIVE),
+    },
 }
 
 
@@ -112,61 +145,9 @@ def _check_keys(cp, section, known):
             )
 
 
-def _angle(raw):
-    text = raw.strip().lower()
-    if text == "half-pi":
-        return math.pi / 2
-    if text == "random":
-        return "random"
-    return float(raw)
-
-
 def _parse_params(cp, kind):
-    section = kind
-    if kind == "eid-spin-bath":
-        return {
-            "n_spins": _get(cp, section, "n_spins", int, check=lambda n: 1 <= n <= SPIN_CAP,
-                            why=f"need 1..{SPIN_CAP} bath spins"),
-            "coupling_min": _get(cp, section, "coupling_min", float, 0.5,
-                                 check=lambda x: x > 0, why="must be positive"),
-            "coupling_max": _get(cp, section, "coupling_max", float, 1.5,
-                                 check=lambda x: x > 0, why="must be positive"),
-            "bath_angle": _get(cp, section, "bath_angle", _angle, math.pi / 2),
-            "amp0": _get(cp, section, "amp0", float, 1 / math.sqrt(2),
-                         check=lambda a: 0 < a < 1, why="need 0 < amp0 < 1"),
-        }
-    if kind == "sid-kernel":
-        params = {
-            "family": _get(cp, section, "family", str, "gaussian",
-                           check=lambda f: f in SID_FAMILIES,
-                           why="known families: " + ", ".join(SID_FAMILIES)),
-            "n": _get(cp, section, "n", int, 400,
-                      check=lambda n: MIN_SAMPLES <= n <= 2000,
-                      why=f"need {MIN_SAMPLES}..2000 grid points"),
-            "omega_max": _get(cp, section, "omega_max", float, 10.0,
-                              check=lambda x: x > 0, why="must be positive"),
-            "center": _get(cp, section, "center", float, 5.0),
-            "width": _get(cp, section, "width", float, 1.2,
-                          check=lambda x: x > 0, why="must be positive"),
-            "cross_width": _get(cp, section, "cross_width", float, 0.5,
-                                check=lambda x: x > 0, why="must be positive"),
-            "amplitude": _get(cp, section, "amplitude", float, 0.25),
-            "kernel_csv": _get(cp, section, "kernel_csv", str, None),
-        }
-        if params["family"] == "table" and not params["kernel_csv"]:
-            raise ConfigError(
-                "[sid-kernel] key 'kernel_csv' is required when family = table"
-            )
-        return params
-    if kind == "master-eq-toy":
-        return {
-            "gamma_decohere": _get(cp, section, "gamma_decohere", float, 1.0,
-                                   check=lambda x: x > 0, why="must be positive"),
-            "gamma_relax": _get(cp, section, "gamma_relax", float, 0.2,
-                                check=lambda x: x > 0, why="must be positive"),
-        }
-    raise ConfigError(f"unknown scenario kind {kind!r}; known kinds: "
-                      + ", ".join(KINDS))
+    return {key: _get(cp, kind, key, *spec)
+            for key, spec in _PARAMS[kind].items()}
 
 
 def _parse_tolerances(cp, overrides):
@@ -204,7 +185,7 @@ def parse_config(path, seed=None, tol_overrides=None):
                 why="known kinds: " + ", ".join(KINDS))
     _check_sections(cp, kind)
     _check_keys(cp, "scenario", _SCENARIO_KEYS)
-    _check_keys(cp, kind, _PARAM_KEYS[kind])
+    _check_keys(cp, kind, _PARAMS[kind])
     _check_keys(cp, "tolerances", set(_TOL_DEFAULTS))
 
     name = _get(cp, "scenario", "name", str, kind,
@@ -220,6 +201,11 @@ def parse_config(path, seed=None, tol_overrides=None):
     if kind == "eid-spin-bath" and params["coupling_max"] < params["coupling_min"]:
         raise ConfigError(
             "[eid-spin-bath] key 'coupling_max': must be >= coupling_min"
+        )
+    if kind == "sid-kernel" and params["family"] == "table" \
+            and not params["kernel_csv"]:
+        raise ConfigError(
+            "[sid-kernel] key 'kernel_csv' is required when family = table"
         )
     tolerances = _parse_tolerances(cp, tol_overrides)
     return ScenarioConfig(kind=kind, name=name,

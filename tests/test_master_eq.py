@@ -1,9 +1,12 @@
 """Projected Liouville equation, P/Q memory route, dissipative toy."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from decolab.liouville import (
     biorthogonalize,
@@ -22,6 +25,7 @@ from decolab.master_eq import (
     evolve_master_exact,
     evolve_nakajima_zwanzig,
     memory_kernel,
+    _pq_system,
 )
 from decolab.open_system import eid_projector, evolve_unitary
 
@@ -104,6 +108,36 @@ def eid_fixture(rng, dim_s, dim_e, coupling=0.8):
     return h, rho0
 
 
+def windowed_chain_reference(pq, y0, times, window):
+    """y(t) of the windowed P/Q equation by the method of steps, by expm.
+
+    With x = (y, z) and Q|rho_0) = 0, the pieces u_j(s) = x(t0 + j w + s)
+    of window m obey u_0' = G u_0 and u_j' = G u_j + B u_{j-1} for
+    j <= m: one block-bidiagonal linear system per window.
+    """
+    ny, n = pq.plp.shape[0], pq.plp.shape[0] + pq.lam.size
+    g = -1j * np.block([[pq.plp, pq.from_modes],
+                        [pq.into_modes, np.diag(pq.lam)]])
+    b = np.zeros_like(g)
+    b[:ny, ny:] = 1j * pq.from_modes * np.exp(-1j * pq.lam * window)
+
+    def chain(m):
+        return np.kron(np.eye(m + 1), g) + np.kron(np.eye(m + 1, k=-1), b)
+
+    x0 = np.concatenate([y0, np.zeros(pq.lam.size, dtype=complex)])
+    starts = [x0]  # starts[m] = (u_0(0), ..., u_m(0))
+    out = []
+    for t in times:
+        m = max(int(np.ceil((t - times[0]) / window)) - 1, 0)
+        while len(starts) <= m:
+            k = len(starts) - 1
+            starts.append(np.concatenate(
+                [x0, expm(chain(k) * window) @ starts[k]]))
+        s = t - times[0] - m * window
+        out.append((expm(chain(m) * s) @ starts[m])[-n:][:ny])
+    return np.array(out)
+
+
 class TestEvolveMasterExact:
     def test_initial_condition(self):
         rng = np.random.default_rng(10)
@@ -145,8 +179,7 @@ class TestEvolveMasterExact:
 
         with pytest.raises(RuntimeError, match="step size"):
             _integrate_complex(lambda t, y: y / (0.5 - t),
-                               np.array([1.0 + 0j]), [0.0, 1.0],
-                               rtol=1e-8, atol=1e-10)
+                               np.array([1.0 + 0j]), (0.0, 1.0), [0.0, 1.0])
 
 
 class TestNakajimaZwanzig:
@@ -179,6 +212,15 @@ class TestNakajimaZwanzig:
         worst = max(np.max(np.abs(a.matrix - b.matrix))
                     for a, b in zip(nz, ex))
         assert worst <= 1e-6
+        # a window at least the horizon long truncates nothing: the same
+        # call, silently
+        for window in (10.0, 25.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                same = evolve_nakajima_zwanzig(rho0, pi, lv, times,
+                                               kernel_window=window)
+            np.testing.assert_array_equal([s.matrix for s in same],
+                                          [s.matrix for s in nz])
 
     def test_inhomogeneous_term_restores_exactness(self):
         # Q rho0 != 0: seeding the modes reproduces P rho(t) exactly
@@ -217,7 +259,8 @@ class TestNakajimaZwanzig:
     def test_windowed_route_on_oblique_projector(self):
         # rho0 = coarse_grain(rho, pi) has Q rho0 = 0, which the windowed
         # route needs; until the window engages it must land on
-        # coarse_grain of the unitary evolution
+        # coarse_grain of the unitary evolution, and after it on the
+        # closed-form method-of-steps chain
         rng = np.random.default_rng(41)
         basis = biorthogonalize(
             [np.eye(2, dtype=complex), random_hermitian(rng, 2)],
@@ -227,16 +270,22 @@ class TestNakajimaZwanzig:
         h = random_hermitian(rng, 2)
         rho0 = coarse_grain(random_density(rng, 2), pi).matrix
         lv = build_liouvillian(h)
-        times = np.linspace(0.0, 5.0, 11)
-        with pytest.warns(RuntimeWarning, match="window"):
-            windowed = evolve_nakajima_zwanzig(rho0, pi, lv, times,
-                                               kernel_window=2.5)
-        want = [coarse_grain(r, pi).matrix
-                for r in evolve_unitary(rho0, h, times)]
-        for t, a, b in zip(times, windowed, want):
-            if t <= 2.5:
-                assert np.max(np.abs(a.matrix - b)) <= 1e-8
-            assert abs(np.trace(a.matrix) - np.trace(rho0)) <= 1e-10
+        pq = _pq_system(pi, lv)
+        # the second window ends past the horizon: a partial last segment
+        for window, t1 in ((2.5, 5.0), (4.5, 10.0)):
+            times = np.linspace(0.0, t1, int(2 * t1) + 1)
+            with pytest.warns(RuntimeWarning, match="window"):
+                windowed = evolve_nakajima_zwanzig(rho0, pi, lv, times,
+                                                   kernel_window=window)
+            want = [coarse_grain(r, pi).matrix
+                    for r in evolve_unitary(rho0, h, times)]
+            chain = windowed_chain_reference(pq, pq.p @ vec(rho0), times,
+                                             window)
+            for t, a, b, y in zip(times, windowed, want, chain):
+                if t <= window:
+                    assert np.max(np.abs(a.matrix - b)) <= 1e-8
+                assert np.max(np.abs(vec(a.matrix) - y)) <= 1e-9
+                assert abs(np.trace(a.matrix) - np.trace(rho0)) <= 1e-10
 
     def test_dropping_inhomogeneous_term_costs_accuracy(self):
         # the Q rho0 = 0 assumption is visible when it is false
@@ -265,7 +314,7 @@ class TestNakajimaZwanzig:
                         u_p.conj().T @ direct @ u_p, atol=1e-10)
 
     def test_kernel_samples_match_per_tau_product(self):
-        from decolab.master_eq import _pq_system, _range_basis
+        from decolab.master_eq import _range_basis
 
         rng = np.random.default_rng(29)
         h, _ = eid_fixture(rng, 2, 2)
@@ -362,6 +411,14 @@ class TestDissipativeToy:
         looped = [unvec(smat @ (np.exp(lam * t) * coeff)) for t in times]
         np.testing.assert_array_equal(
             evolve_linear_generator(toy.generator, toy.rho0, times), looped)
+        # the result keeps the shape of times: a scalar, a (2, 3) grid
+        np.testing.assert_array_equal(
+            evolve_linear_generator(toy.generator, toy.rho0, times[5]),
+            looped[5])
+        grid = evolve_linear_generator(toy.generator, toy.rho0,
+                                       times[:6].reshape(2, 3))
+        assert grid.shape == (2, 3, 3, 3)
+        np.testing.assert_array_equal(grid.reshape(6, 3, 3), looped[:6])
 
     def test_matches_ode_oracle(self):
         toy = dissipative_toy()

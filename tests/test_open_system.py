@@ -230,6 +230,12 @@ class TestEvolveUnitary:
             looped.append(vecs @ (np.outer(phase, phase.conj()) * rho_eig)
                           @ vecs.conj().T)
         np.testing.assert_array_equal(evolve_unitary(rho0, h, times), looped)
+        # the result keeps the shape of times: a scalar, a (2, 3) grid
+        np.testing.assert_array_equal(evolve_unitary(rho0, h, times[5]),
+                                      looped[5])
+        grid = evolve_unitary(rho0, h, times[:6].reshape(2, 3))
+        assert grid.shape == (2, 3, 4, 4)
+        np.testing.assert_array_equal(grid.reshape(6, 4, 4), looped[:6])
 
     def test_purity_of_stack_matches_each_state(self):
         rng = np.random.default_rng(53)
