@@ -26,7 +26,7 @@ lv = build_liouvillian(h)
 pi = eid_projector(dim_s, dim_e)
 
 n = defect(pi, lv)
-print(f"defect |pi L - L pi| = {n.norm():.4f} "
+print(f"defect |pi L - L pi| = {np.linalg.norm(n):.4f} "
       "(nonzero: the projector does not commute with this flow)")
 
 # initial state inside the relevant subspace: rho_S (x) I/dim_E

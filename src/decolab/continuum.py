@@ -13,7 +13,7 @@ value settles to the diagonal quadrature alone (a weak limit: the state
 kernel itself never converges).  The continuum is replaced by an N-point
 grid with trapezoid weights; all decay claims are windowed below the
 grid recurrence time 2*pi / (min energy gap), which is computed and
-logged rather than assumed away.
+reported rather than assumed away.
 
 Nothing here exchanges energy: evolution touches only the phases of the
 off-diagonal kernel, so diag(rho) is exactly time-invariant.
@@ -21,7 +21,6 @@ off-diagonal kernel, so diag(rho) is exactly time-invariant.
 
 from __future__ import annotations
 
-import logging
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -41,22 +40,16 @@ __all__ = [
     "expectation_sid",
     "offdiag_contribution",
     "sid_limit",
-    "energy_expectation",
     "hamiltonian_observable",
     "sid_projector",
-    "smooth_functional",
-    "reconstruct_functional",
     "MeasuredObservable",
     "build_vanhove_from_measurements",
     "discretized_unitary_oracle",
-    "kernel_decay_report",
     "load_table_kernel",
     "sid_scenario",
     "gaussian_scenario",
     "gaussian_envelope",
 ]
-
-log = logging.getLogger(__name__)
 
 ORACLE_GRID_CAP = 400
 # table energies must sit this close to a grid point
@@ -266,12 +259,6 @@ def sid_limit(state, obs):
     return float(np.sum(state.grid.weights * state.diag * obs.diag))
 
 
-def energy_expectation(state):
-    """<H> = int rho(w) w dw; time-independent since H has no regular kernel."""
-    g = state.grid
-    return float(np.sum(g.weights * state.diag * g.omega))
-
-
 def hamiltonian_observable(grid):
     """H as a kernel observable: diag weight w, no regular kernel."""
     return VanHoveObservable(grid, grid.omega.copy())
@@ -304,52 +291,6 @@ def sid_projector(obs):
             )
     return VanHoveObservable(obs.grid, obs.diag.copy(),
                              obs.offdiag_regular.copy())
-
-
-def smooth_functional(samples, cutoff, frequencies=None, taper=False):
-    """Truncate functional coefficients to a square-summable vector.
-
-    ``samples`` are the values F[e_i] on an orthonormal basis.  ``cutoff``
-    is an index count, or an energy threshold when ``frequencies`` labels
-    the basis elements.  Hard truncation (default) keeps the leading
-    coefficients unchanged and is idempotent.  ``taper=True`` applies a
-    raised-cosine roll-off over the upper half of the kept band instead;
-    that variant reduces reconstruction ringing but is *not* a projector
-    (applying it twice squares the taper weights).
-    """
-    samples = np.asarray(samples, dtype=complex)
-    if frequencies is not None:
-        frequencies = np.asarray(frequencies, dtype=float)
-        if frequencies.shape != samples.shape:
-            raise DimensionMismatchError("one frequency label per sample")
-        keep = int(np.sum(frequencies <= cutoff))
-    else:
-        keep = int(cutoff)
-    if keep < 1:
-        raise ValueError("cutoff keeps no coefficients")
-    keep = min(keep, samples.size)
-    if not np.all(np.isfinite(samples[:keep])):
-        raise ValueError(
-            "no finite leading coefficients to keep; the functional has no "
-            "square-summable prefix at this cutoff"
-        )
-    out = np.zeros_like(samples)
-    out[:keep] = samples[:keep]
-    if taper:
-        ramp_start = keep // 2
-        idx = np.arange(ramp_start, keep)
-        out[ramp_start:keep] *= 0.5 * (
-            1 + np.cos(np.pi * (idx - ramp_start) / max(keep - ramp_start, 1)))
-    return out
-
-
-def reconstruct_functional(coeffs, basis_values):
-    """Evaluate sum_i f_i e_i(x) given basis samples e_i(x) as rows."""
-    coeffs = np.asarray(coeffs)
-    basis_values = np.asarray(basis_values)
-    if basis_values.shape[0] != coeffs.size:
-        raise DimensionMismatchError("one basis row per coefficient")
-    return coeffs @ basis_values
 
 
 # ---------------------------------------------------------------------------
@@ -464,48 +405,8 @@ def discretized_unitary_oracle(state, obs, t, cap=ORACLE_GRID_CAP):
 
 
 # ---------------------------------------------------------------------------
-# kernel diagnostics and loading
+# table kernel loading
 # ---------------------------------------------------------------------------
-
-def kernel_decay_report(obs):
-    """Fit how the kernel magnitude falls off along |w - w'|.
-
-    Integrability of the kernel along the off-diagonal direction is what
-    the decay-to-limit argument leans on; it cannot be enforced from
-    finite samples, so the measured fall-off (exponential and power-law
-    fits of band maxima over |w - w'|) is logged for inspection instead.
-    Returns a dict with both fitted rates and their log-space R^2.
-    """
-    k = np.abs(np.asarray(obs.offdiag))
-    n = k.shape[0]
-    sep = np.abs(np.subtract.outer(obs.grid.omega, obs.grid.omega))
-    bands = []
-    seps = []
-    for d in range(1, n):
-        mx = float(np.max(np.diagonal(k, offset=d)))
-        if mx > 0:
-            bands.append(mx)
-            seps.append(float(np.mean(np.diagonal(sep, offset=d))))
-    report = {"n_bands": len(bands)}
-    if len(bands) >= 3:
-        y = np.log(np.asarray(bands))
-        s = np.asarray(seps)
-        for name, x in (("exponential", s), ("power", np.log(s))):
-            a = np.vstack([x, np.ones_like(x)]).T
-            coef, res, *_ = np.linalg.lstsq(a, y, rcond=None)
-            ss_tot = float(np.sum((y - y.mean()) ** 2))
-            r2 = 1.0 - (float(res[0]) / ss_tot if res.size and ss_tot > 0 else 0.0)
-            report[f"{name}_rate"] = -float(coef[0])
-            report[f"{name}_r2"] = r2
-        better = "exponential" if report["exponential_r2"] >= report["power_r2"] \
-            else "power"
-        report["better_fit"] = better
-        log.info("kernel decay along |w-w'|: best %s, rate %.4g (r2 %.4f)",
-                 better, report[f"{better}_rate"], report[f"{better}_r2"])
-    else:
-        report["better_fit"] = "undetermined"
-    return report
-
 
 def load_table_kernel(path, grid):
     """Load an off-diagonal kernel from CSV rows (omega, omega', re, im).

@@ -50,6 +50,10 @@ class FitResult:
         }
 
 
+_NOT_DECAYING = FitResult(None, None, None, None,
+                          "no fit: envelope is not decaying")
+
+
 @dataclass(frozen=True)
 class WeakLimitResult:
     """Onset of stationarity for a set of monitored channels."""
@@ -62,14 +66,6 @@ class WeakLimitResult:
     @property
     def converged(self):
         return self.t_star is not None
-
-    def as_dict(self):
-        return {
-            "t_star": self.t_star,
-            "equilibrium": dict(self.equilibrium),
-            "epsilon": self.epsilon,
-            "flags": list(self.flags),
-        }
 
 
 def _check_series(times, values):
@@ -102,9 +98,18 @@ def envelope(times, values):
 
 
 def _window_fit(times, env, powers, floor_log):
+    """Fit A exp(-(t/tau)^p) to an envelope, p from ``powers`` by r squared.
+
+    The tail both fits share: an envelope that does not collapse by
+    MIN_DECAY_FACTOR is refused, and one without a decaying fit in its
+    window gives a no-fit result.
+    """
+    amax = float(env.max())
+    if env[-1] * MIN_DECAY_FACTOR > amax:
+        return FitResult(None, None, None, None,
+                         "no fit: channel does not decay by a factor of e")
     # contiguous prefix while the envelope stays above max * e^floor_log;
     # stopping there keeps late revivals and noise floors out of the fit
-    amax = float(env.max())
     below = np.nonzero(env < amax * math.exp(floor_log))[0]
     stop = int(below[0]) if below.size else env.size
     stop = min(max(stop, 4), env.size)
@@ -112,7 +117,7 @@ def _window_fit(times, env, powers, floor_log):
     y = env[:stop]
     keep = y > 0
     if int(keep.sum()) < 3:
-        return None
+        return _NOT_DECAYING
     t = t[keep]
     y = np.log(y[keep])
     best = None
@@ -129,7 +134,7 @@ def _window_fit(times, env, powers, floor_log):
         if best is None or r2 > best.r_squared:
             best = FitResult(float(tau), int(p), float(math.exp(coef[1])),
                              float(r2), "ok")
-    return best
+    return best if best is not None else _NOT_DECAYING
 
 
 def fit_decoherence_time(times, values, floor_log=FIT_FLOOR_LOG):
@@ -146,14 +151,7 @@ def fit_decoherence_time(times, values, floor_log=FIT_FLOOR_LOG):
     amax = float(env.max())
     if amax <= SIGNAL_ATOL:
         return FitResult(None, None, None, None, "no signal: channel is zero")
-    if env[-1] * MIN_DECAY_FACTOR > amax:
-        return FitResult(None, None, None, None,
-                         "no fit: channel does not decay by a factor of e")
-    best = _window_fit(times, env, (1, 2), floor_log)
-    if best is None:
-        return FitResult(None, None, None, None,
-                         "no fit: envelope is not decaying")
-    return best
+    return _window_fit(times, env, (1, 2), floor_log)
 
 
 def fit_relaxation_time(times, values, equilibrium=0.0, floor_log=FIT_FLOOR_LOG):
@@ -169,15 +167,7 @@ def fit_relaxation_time(times, values, equilibrium=0.0, floor_log=FIT_FLOOR_LOG)
     if float(dist.max()) <= SIGNAL_ATOL:
         return FitResult(None, None, None, None,
                          "not applicable (no dissipation)")
-    env = envelope(times, dist)
-    if env[-1] * MIN_DECAY_FACTOR > float(env.max()):
-        return FitResult(None, None, None, None,
-                         "no fit: channel does not decay by a factor of e")
-    best = _window_fit(times, env, (1,), floor_log)
-    if best is None:
-        return FitResult(None, None, None, None,
-                         "no fit: envelope is not decaying")
-    return best
+    return _window_fit(times, envelope(times, dist), (1,), floor_log)
 
 
 def detect_weak_limit(times, channels, epsilon, recurrence_window=None):

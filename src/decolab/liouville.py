@@ -35,21 +35,16 @@ __all__ = [
     "BiorthogonalBasis",
     "vec",
     "unvec",
-    "liouville_inner",
     "pairing",
     "require_hermitian",
     "validate_density",
     "validate_observable",
     "projector_defect",
-    "is_projector",
     "build_projector",
     "biorthogonalize",
     "coarse_grain",
     "state_map",
-    "matrix_unit_basis",
     "diagonal_projector",
-    "save_operator",
-    "load_operator",
 ]
 
 # Tolerances of the checks below.
@@ -57,7 +52,6 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_TOL = 1e-10
 BIORTHOGONALITY_TOL = 1e-10
-IDEMPOTENCE_TOL = 1e-10
 
 
 class DimensionMismatchError(ValueError):
@@ -89,15 +83,6 @@ def unvec(v):
     if d * d != v.size:
         raise DimensionMismatchError(f"length {v.size} is not a perfect square")
     return v.reshape(d, d, order="F")
-
-
-def liouville_inner(a, b):
-    """Inner product <A|B> = Tr(A^dag B)."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"shapes {a.shape} and {b.shape} differ")
-    return complex(np.vdot(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +221,6 @@ class BiorthogonalBasis:
     def size(self):
         return len(self.observables)
 
-    @property
-    def dim(self):
-        return self.observables[0].shape[0]
-
     def gram(self):
         """Pairing matrix G_ab = <rho_a|O_b>."""
         fun = np.array([vec(f) for f in self.functionals])
@@ -251,10 +232,6 @@ def projector_defect(m):
     """Frobenius norm of M^2 - M."""
     m = np.asarray(m)
     return float(np.linalg.norm(m @ m - m))
-
-
-def is_projector(m, tol=IDEMPOTENCE_TOL):
-    return projector_defect(m) <= tol
 
 
 def build_projector(basis):
@@ -328,63 +305,7 @@ def state_map(pi):
 # stock bases / projectors
 # ---------------------------------------------------------------------------
 
-def matrix_unit_basis(d):
-    """The complete biorthogonal family of matrix units |i><j| on dim d.
-
-    Complete, so the resulting projector is the identity superoperator.
-    """
-    units = [unvec(e) for e in np.eye(d * d, dtype=complex)]
-    return BiorthogonalBasis(units, units)
-
-
 def diagonal_projector(d):
     """Superoperator keeping the diagonal entries of a d x d matrix."""
     units = [np.diag(e) for e in np.eye(d, dtype=complex)]
     return build_projector(BiorthogonalBasis(units, units))
-
-
-# ---------------------------------------------------------------------------
-# plain-text operator files
-# ---------------------------------------------------------------------------
-#
-# Format: a header line "dim d", then d rows of d whitespace-separated
-# "re,im" pairs, row-major.  Floats use repr precision, so a round trip
-# is bit-exact.
-
-def save_operator(path, m):
-    """Write a square complex matrix in the plain-text operator format."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got {m.shape}")
-    d = m.shape[0]
-    lines = [f"dim {d}"]
-    for i in range(d):
-        lines.append(" ".join(
-            f"{float(m[i, j].real)!r},{float(m[i, j].imag)!r}" for j in range(d)))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_operator(path):
-    """Read a matrix written by :func:`save_operator`."""
-    with open(path) as fh:
-        raw = [line.strip() for line in fh if line.strip()]
-    if not raw or not raw[0].startswith("dim "):
-        raise ValueError(f"{path}: missing 'dim d' header line")
-    try:
-        d = int(raw[0].split()[1])
-    except (IndexError, ValueError):
-        raise ValueError(f"{path}: malformed header {raw[0]!r}")
-    if d < 1 or len(raw) != d + 1:
-        raise ValueError(f"{path}: expected {d} rows, found {len(raw) - 1}")
-    m = np.empty((d, d), dtype=complex)
-    for i, line in enumerate(raw[1:]):
-        tokens = line.split()
-        if len(tokens) != d:
-            raise ValueError(f"{path}: row {i} has {len(tokens)} entries, expected {d}")
-        for j, tok in enumerate(tokens):
-            re_s, _, im_s = tok.partition(",")
-            if not _:
-                raise ValueError(f"{path}: row {i} entry {j} is not a re,im pair: {tok!r}")
-            m[i, j] = complex(float(re_s), float(im_s))
-    return m

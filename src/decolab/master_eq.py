@@ -45,7 +45,6 @@ from .liouville import (
 
 __all__ = [
     "Liouvillian",
-    "DefectSuperOp",
     "MemoryKernel",
     "DissipativeToy",
     "build_liouvillian",
@@ -62,8 +61,6 @@ RTOL = 1e-10
 ATOL = 1e-12
 # Hermiticity and identity-annihilation tolerance of a Liouvillian
 LIOUVILLIAN_TOL = 1e-10
-# norm below which a defect counts as zero
-DEFECT_ZERO_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -98,26 +95,9 @@ class Liouvillian:
         m.setflags(write=False)
         object.__setattr__(self, "superop", m)
 
-    @property
-    def dim(self):
-        return int(round(np.sqrt(self.superop.shape[0])))
-
     def spectrum(self):
         """Real eigenvalues (the Bohr frequency differences)."""
         return np.linalg.eigvalsh(self.superop)
-
-
-@dataclass(frozen=True)
-class DefectSuperOp:
-    """N = pi L - L pi, the non-closure of the projected equation."""
-
-    superop: np.ndarray
-
-    def norm(self):
-        return float(np.linalg.norm(self.superop))
-
-    def is_zero(self):
-        return self.norm() <= DEFECT_ZERO_TOL
 
 
 def build_liouvillian(hamiltonian):
@@ -129,14 +109,14 @@ def build_liouvillian(hamiltonian):
 
 
 def defect(pi, liouville):
-    """N = pi L - L pi; zero exactly when the projector commutes with L."""
+    """The matrix N = pi L - L pi; zero exactly when pi commutes with L."""
     pi = np.asarray(pi, dtype=complex)
     lm = liouville.superop
     if pi.shape != lm.shape:
         raise DimensionMismatchError(
             f"projector shape {pi.shape} vs Liouvillian {lm.shape}"
         )
-    return DefectSuperOp(pi @ lm - lm @ pi)
+    return pi @ lm - lm @ pi
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +148,7 @@ def evolve_master_exact(rho0, pi, liouville, times):
     """
     p = state_map(np.asarray(pi, dtype=complex))
     lm = liouville.superop
-    n = defect(p, liouville).superop
+    n = defect(p, liouville)
     x0 = vec(np.asarray(rho0, dtype=complex))
     if p.shape[0] != x0.size:
         raise DimensionMismatchError("projector does not match state dimension")
@@ -267,8 +247,13 @@ def evolve_nakajima_zwanzig(rho0, pi, liouville, times, kernel_window=None,
     window that reads z(t - w) from the previous window's dense output.
     If w is shorter than the requested horizon a truncation warning with
     a crude bound estimate is emitted.  The windowed path requires
-    ``relevant_only`` and strictly increasing times.
+    ``relevant_only`` and strictly increasing times; a window that is
+    not positive is refused.
     """
+    if kernel_window is not None and not kernel_window > 0:
+        # written as "not > 0" so that a NaN window is refused too
+        raise ValueError(
+            f"kernel_window must be positive or None, got {kernel_window}")
     times = np.asarray(times, dtype=float)
     pq = _pq_system(pi, liouville)
     x0 = vec(np.asarray(rho0, dtype=complex))
@@ -348,10 +333,6 @@ class DissipativeToy:
     gamma_relax: float
     frequencies: np.ndarray
     rho0: np.ndarray
-
-    @property
-    def dim(self):
-        return self.equilibrium.size
 
 
 def dissipative_toy(gamma_decohere=1.0, gamma_relax=0.2):

@@ -34,7 +34,6 @@ from .liouville import (
 
 __all__ = [
     "ResourceCapError",
-    "CompositeSystem",
     "SpinBathParams",
     "PreferredBasis",
     "SPIN_CAP",
@@ -58,38 +57,13 @@ SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 
 # caps for the spin-bath scenario; full state dimension is 2^(n+1)
 SPIN_CAP = 14          # state-vector path
-DENSE_SPIN_CAP = 10    # dense (CompositeSystem, DensityOperator) materialization
+DENSE_SPIN_CAP = 10    # dense (H, rho0) materialization
 # eigenvalue gap below which the preferred basis is flagged degenerate
 DEGENERACY_GAP = 1e-8
 
 
 class ResourceCapError(ValueError):
     """Requested problem size exceeds the configured desk-scale cap."""
-
-
-@dataclass(frozen=True)
-class CompositeSystem:
-    """System(x)environment split with the closed-system Hamiltonian."""
-
-    dim_s: int
-    dim_e: int
-    hamiltonian: np.ndarray
-
-    def __post_init__(self):
-        if self.dim_s < 1 or self.dim_e < 1:
-            raise DimensionMismatchError("dimensions must be positive")
-        h = np.asarray(self.hamiltonian, dtype=complex)
-        d = self.dim_s * self.dim_e
-        if h.shape != (d, d):
-            raise DimensionMismatchError(
-                f"H has shape {h.shape}, expected ({d}, {d})"
-            )
-        validate_observable(h)
-        object.__setattr__(self, "hamiltonian", h)
-
-    @property
-    def dim(self):
-        return self.dim_s * self.dim_e
 
 
 @dataclass(frozen=True)
@@ -232,7 +206,7 @@ def _check_spin_cap(n):
 
 
 def spin_bath_scenario(params):
-    """Dense (CompositeSystem, initial DensityOperator) for the spin bath.
+    """Dense (H, rho0) for the spin bath: Hamiltonian and initial state.
 
     The state dimension is 2^(n+1).  Beyond DENSE_SPIN_CAP spins the dense
     matrices stop being desk-scale (GB-sized), so the call is refused and
@@ -250,8 +224,7 @@ def spin_bath_scenario(params):
     h = np.diag(spin_bath_hamiltonian_diagonal(params)).astype(complex)
     psi = spin_bath_initial_vector(params)
     rho0 = np.outer(psi, psi.conj())
-    system = CompositeSystem(dim_s=2, dim_e=2 ** n, hamiltonian=h)
-    return system, validate_density(rho0)
+    return h, validate_density(rho0)
 
 
 def spin_bath_reduced_dynamics(params, times):

@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import fits
-from .continuum import (EnergyGrid, energy_expectation, expectation_sid,
-                        gaussian_scenario, hamiltonian_observable,
-                        load_table_kernel, sid_limit, sid_scenario)
+from .continuum import (EnergyGrid, expectation_sid, gaussian_scenario,
+                        hamiltonian_observable, load_table_kernel, sid_limit,
+                        sid_scenario)
 from .master_eq import dissipative_toy, evolve_linear_generator
 from .open_system import (SPIN_CAP, SpinBathParams, purity,
                           spin_bath_recurrence_window,
@@ -77,7 +77,8 @@ def _angle(raw):
     return float(raw)
 
 
-_POSITIVE = (lambda x: x > 0, "must be positive")
+# written as a range so that inf and NaN are refused too
+_POSITIVE = (lambda x: 0 < x < math.inf, "must be positive and finite")
 # per kind, each key's (cast, default or _REQUIRED, check or None, why)
 _PARAMS = {
     "eid-spin-bath": {
@@ -192,8 +193,7 @@ def parse_config(path, seed=None, tol_overrides=None):
                 check=lambda s: bool(_NAME_RE.match(s)),
                 why="letters, digits, dot, dash, underscore only")
     cfg_seed = _get(cp, "scenario", "seed", int, 0)
-    t_max = _get(cp, "scenario", "t_max", float,
-                 check=lambda x: x > 0, why="must be positive")
+    t_max = _get(cp, "scenario", "t_max", float, _REQUIRED, *_POSITIVE)
     samples = _get(cp, "scenario", "samples", int,
                    check=lambda n: n >= MIN_SAMPLES,
                    why=f"need at least {MIN_SAMPLES} samples")
@@ -218,7 +218,19 @@ def parse_config(path, seed=None, tol_overrides=None):
 # runners
 # ---------------------------------------------------------------------------
 
-def _summary(config, fit_d, fit_r, weak, recurrence_window, monitored):
+def _summary(config, times, decay, relax, watched, monitored,
+             recurrence_window):
+    """Fit t_D to the ``decay`` channel and t_R to the ``relax`` distance
+    from equilibrium, find the weak limit of the ``watched`` channels, and
+    report it through the ``monitored`` one."""
+    tol = config.tolerances
+    fit_d = fits.fit_decoherence_time(times, decay,
+                                      floor_log=tol["fit_floor_log"])
+    fit_r = fits.fit_relaxation_time(times, relax,
+                                     floor_log=tol["fit_floor_log"])
+    weak = fits.detect_weak_limit(times, watched,
+                                  epsilon=tol["weak_limit_epsilon"],
+                                  recurrence_window=recurrence_window)
     flags = list(weak.flags)
     if not fit_d.ok:
         flags.append("t_D: " + fit_d.status)
@@ -268,18 +280,13 @@ def _run_eid(config):
     recurrence = spin_bath_recurrence_window(couplings)
     if not math.isfinite(recurrence):
         recurrence = None
-    fit_d = fits.fit_decoherence_time(times, channels["offdiag_modulus"],
-                                      floor_log=config.tolerances["fit_floor_log"])
     # pure dephasing: populations are constants of motion, so the
     # relaxation channel is their drift from the final value (zero here)
-    fit_r = fits.fit_relaxation_time(times, channels["rho00_re"],
-                                     equilibrium=float(channels["rho00_re"][-1]),
-                                     floor_log=config.tolerances["fit_floor_log"])
-    weak = fits.detect_weak_limit(times,
-                                  {"offdiag_modulus": channels["offdiag_modulus"]},
-                                  epsilon=config.tolerances["weak_limit_epsilon"],
-                                  recurrence_window=recurrence)
-    summary = _summary(config, fit_d, fit_r, weak, recurrence, "offdiag_modulus")
+    pops = channels["rho00_re"]
+    summary = _summary(config, times, channels["offdiag_modulus"],
+                       pops - float(pops[-1]),
+                       {"offdiag_modulus": channels["offdiag_modulus"]},
+                       "offdiag_modulus", recurrence)
     return series, summary
 
 
@@ -312,24 +319,19 @@ def _run_sid(config):
 
     times = np.linspace(0.0, config.t_max, config.samples)
     expect = expectation_sid(state, obs, times)
-    energy = expectation_sid(state, hamiltonian_observable(state.grid), times)
+    h = hamiltonian_observable(state.grid)
+    energy = expectation_sid(state, h, times)
     series = TimeSeries(times=times, channels={
         "expectation": expect,
         "offdiag_contrib": expect - sid_limit(state, obs),
         "energy": energy,
     })
 
-    recurrence = state.grid.recurrence_window()
-    fit_d = fits.fit_decoherence_time(times, series.channels["offdiag_contrib"],
-                                      floor_log=config.tolerances["fit_floor_log"])
     # the closed route has no dissipation channel: <H> is a constant of
     # motion and the populations never move, so t_R must come out n/a
-    fit_r = fits.fit_relaxation_time(times, energy,
-                                     equilibrium=energy_expectation(state))
-    weak = fits.detect_weak_limit(times, {"expectation": expect},
-                                  epsilon=config.tolerances["weak_limit_epsilon"],
-                                  recurrence_window=recurrence)
-    summary = _summary(config, fit_d, fit_r, weak, recurrence, "expectation")
+    summary = _summary(config, times, series.channels["offdiag_contrib"],
+                       energy - sid_limit(state, h), {"expectation": expect},
+                       "expectation", state.grid.recurrence_window())
     return series, summary
 
 
@@ -353,14 +355,9 @@ def _run_toy(config):
     channels["diag_distance"] = diag_dist
     series = TimeSeries(times=times, channels=channels)
 
-    fit_d = fits.fit_decoherence_time(times, offdiag,
-                                      floor_log=config.tolerances["fit_floor_log"])
-    fit_r = fits.fit_relaxation_time(times, diag_dist,
-                                     floor_log=config.tolerances["fit_floor_log"])
-    weak = fits.detect_weak_limit(
-        times, {"offdiag_modulus": offdiag, "diag_distance": diag_dist},
-        epsilon=config.tolerances["weak_limit_epsilon"])
-    summary = _summary(config, fit_d, fit_r, weak, None, "diag_distance")
+    summary = _summary(config, times, offdiag, diag_dist,
+                       {"offdiag_modulus": offdiag, "diag_distance": diag_dist},
+                       "diag_distance", None)
     return series, summary
 
 

@@ -54,10 +54,6 @@ class TimeSeries:
         object.__setattr__(self, "channels", clean)
 
     @property
-    def n_samples(self):
-        return self.times.size
-
-    @property
     def column_names(self):
         return ["t", *self.channels]
 

@@ -77,6 +77,15 @@ class TestRunCommand:
         assert code == 2
         assert "bogus_key" in capsys.readouterr().err
 
+    def test_non_finite_value_is_reported_not_raised(self, tmp_path, capsys):
+        eid = TOY_CONFIG.replace("master-eq-toy", "eid-spin-bath")
+        cfg = write(tmp_path, eid + "n_spins = 3\ncoupling_max = inf\n",
+                    "bad.ini")
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "coupling_max" in err and "Traceback" not in err
+
     def test_unknown_tolerance_is_reported(self, tmp_path, capsys):
         cfg = write(tmp_path, TOY_CONFIG, "toy.ini")
         code = main(["run", "--config", cfg, "--out", str(tmp_path / "out"),

@@ -1,4 +1,4 @@
-"""Kernel pairing, weak limits, projector, smoothing, measurement rebuild."""
+"""Kernel pairing, weak limits, projector, measurement rebuild, tables."""
 
 import warnings
 
@@ -15,18 +15,14 @@ from decolab.continuum import (
     VanHoveState,
     build_vanhove_from_measurements,
     discretized_unitary_oracle,
-    energy_expectation,
     expectation_sid,
     gaussian_envelope,
     gaussian_scenario,
     hamiltonian_observable,
-    kernel_decay_report,
     load_table_kernel,
     offdiag_contribution,
-    reconstruct_functional,
     sid_limit,
     sid_projector,
-    smooth_functional,
 )
 from decolab.liouville import DimensionMismatchError
 
@@ -221,16 +217,17 @@ class TestEnergy:
         bump = np.exp(-((g.omega - 6.0) ** 2) / (2 * 0.05 ** 2))
         bump /= float(np.sum(g.weights * bump))
         state = VanHoveState(g, bump)
-        assert abs(energy_expectation(state) - 6.0) <= 1e-3
+        assert abs(sid_limit(state, hamiltonian_observable(g)) - 6.0) <= 1e-3
 
     def test_uniform_mean_energy(self):
         g = EnergyGrid.uniform(0.0, 1.0, 200)
-        assert_allclose(energy_expectation(uniform_state(g)), 0.5, atol=1e-12)
+        assert_allclose(sid_limit(uniform_state(g), hamiltonian_observable(g)),
+                        0.5, atol=1e-12)
 
     def test_constancy_over_time_sweep(self, gaussian):
         state, _ = gaussian
         h = hamiltonian_observable(state.grid)
-        e0 = energy_expectation(state)
+        e0 = sid_limit(state, h)
         vals = [expectation_sid(state, h, t) for t in np.linspace(0, 100, 64)]
         assert np.ptp(vals) <= 1e-12
         assert abs(vals[0] - e0) <= 1e-12
@@ -289,68 +286,6 @@ class TestSidProjector:
                                       ("mystery blob",))
         with pytest.raises(UntaggedComponentError, match="declared"):
             sid_projector(gen)
-
-
-class TestSmoothing:
-    def test_square_summable_pass_through(self):
-        samples = np.array([1.0, 0.5, 0.25, 0.0, 0.0])
-        assert_allclose(smooth_functional(samples, 5), samples)
-
-    def test_all_ones_truncation(self):
-        f = smooth_functional(np.ones(100), 7)
-        assert_allclose(np.sum(np.abs(f) ** 2), 7.0)
-        assert not np.any(f[7:])
-
-    def test_hard_truncation_idempotent(self):
-        rng = np.random.default_rng(5)
-        samples = rng.normal(size=30)
-        once = smooth_functional(samples, 11)
-        assert_allclose(smooth_functional(once, 11), once)
-
-    def test_taper_is_not_a_projector(self):
-        samples = np.ones(16)
-        once = smooth_functional(samples, 16, taper=True)
-        twice = smooth_functional(once, 16, taper=True)
-        assert np.max(np.abs(twice - once)) > 1e-3
-
-    def test_energy_cutoff_via_frequencies(self):
-        freqs = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
-        f = smooth_functional(np.ones(5), 2.5, frequencies=freqs)
-        assert_allclose(f, [1, 1, 1, 0, 0])
-
-    def test_rejects_divergent_prefix(self):
-        with pytest.raises(ValueError, match="finite"):
-            smooth_functional(np.array([np.inf, np.inf, 1.0]), 2)
-
-    def test_point_functional_reconstruction_converges(self):
-        # delta-like functional against a real Fourier basis: pairing the
-        # truncated reconstruction with a fixed smooth test function must
-        # approach the point value, monotonically over the cutoffs
-        x0 = 2.2
-        nb = 64
-        xs = np.linspace(0, 2 * np.pi, 4001)[:-1]
-        dx = xs[1] - xs[0]
-
-        def basis_at(x):
-            rows = [np.full(np.shape(x), 1 / np.sqrt(2 * np.pi))]
-            m = 1
-            while len(rows) < nb:
-                rows.append(np.cos(m * x) / np.sqrt(np.pi))
-                if len(rows) < nb:
-                    rows.append(np.sin(m * x) / np.sqrt(np.pi))
-                m += 1
-            return np.array(rows)
-
-        basis = basis_at(xs)
-        samples = basis_at(np.array([x0]))[:, 0]
-        phi = np.exp(np.sin(xs))
-        target = np.exp(np.sin(x0))
-        errs = []
-        for cutoff in (8, 16, 32):
-            recon = reconstruct_functional(
-                smooth_functional(samples, cutoff), basis)
-            errs.append(abs(np.sum(recon * phi).real * dx - target))
-        assert errs[0] > errs[1] > errs[2]
 
 
 class TestMeasurementRebuild:
@@ -454,13 +389,6 @@ class TestDiscretizedOracle:
 
 
 class TestKernelDiagnostics:
-    def test_decay_report_structure(self, gaussian):
-        _, obs = gaussian
-        report = kernel_decay_report(obs)
-        assert report["better_fit"] in ("exponential", "power")
-        assert np.isfinite(report["exponential_rate"])
-        assert 0.0 <= report["exponential_r2"] <= 1.0
-
     def test_table_kernel_round_trip(self, tmp_path):
         g = EnergyGrid.uniform(0.0, 1.0, 4)
         rng = np.random.default_rng(3)

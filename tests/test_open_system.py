@@ -13,7 +13,6 @@ from decolab.liouville import (
     unvec,
 )
 from decolab.open_system import (
-    CompositeSystem,
     SPIN_CAP,
     ResourceCapError,
     SpinBathParams,
@@ -277,9 +276,9 @@ class TestSpinBathScenario:
             couplings=tuple(rng.uniform(0.5, 1.5, n)),
             angles=(np.pi / 2,) * n,
         )
-        system, rho0 = spin_bath_scenario(params)
+        h, rho0 = spin_bath_scenario(params)
         times = np.linspace(0.0, 6.0, 40)
-        series = evolve_unitary(rho0, system.hamiltonian, times)
+        series = evolve_unitary(rho0, h, times)
         coh = spin_bath_coherence(params, times)
         envelope = 0.5 * np.prod(
             np.abs(np.cos(np.outer(times, params.couplings))), axis=1)
@@ -301,10 +300,10 @@ class TestSpinBathScenario:
                 amplitude_0=np.sqrt(0.7),
                 amplitude_1=np.sqrt(0.3) * np.exp(0.4j),
             )
-            system, rho0 = spin_bath_scenario(params)
+            h, rho0 = spin_bath_scenario(params)
             times = np.concatenate([np.linspace(0.0, 5.0, 20),
                                     rng.uniform(0.0, 8.0, 10)])
-            dense = evolve_unitary(rho0, system.hamiltonian, times)
+            dense = evolve_unitary(rho0, h, times)
             reduced = spin_bath_reduced_dynamics(params, times)
             for k in range(len(times)):
                 gap = reduced[k] - partial_trace(dense[k], 2, 2 ** n)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +13,8 @@ import pytest
 
 import decolab
 from decolab.open_system import SpinBathParams, spin_bath_coherence
-from decolab.scenarios import (ConfigError, ScenarioConfig, parse_config,
-                               run_scenario)
+from decolab.scenarios import (_PARAMS, _POSITIVE, ConfigError,
+                               ScenarioConfig, parse_config, run_scenario)
 from decolab.timeseries import TimeSeries
 
 
@@ -178,6 +179,21 @@ class TestConfigParsing:
     def test_nonpositive_horizon_rejected(self, tmp_path):
         bad = EID_CONFIG.replace("t_max = 8.0", "t_max = -1")
         with pytest.raises(ConfigError, match="key 't_max'"):
+            parse_config(write_config(tmp_path, bad))
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("kind, key", [("eid-spin-bath", "t_max")] + [
+        (kind, key) for kind, specs in _PARAMS.items()
+        for key, spec in specs.items() if spec[2:] == _POSITIVE])
+    def test_non_finite_value_names_key(self, tmp_path, kind, key, value):
+        if key == "t_max":
+            bad = EID_CONFIG.replace("t_max = 8.0", f"t_max = {value}")
+        else:
+            base = {"eid-spin-bath": EID_CONFIG, "sid-kernel": SID_CONFIG,
+                    "master-eq-toy": TOY_CONFIG}[kind]
+            bad = re.sub(rf"^{key} = .*\n", "", base, flags=re.M) \
+                + f"{key} = {value}\n"
+        with pytest.raises(ConfigError, match=f"key '{key}'.*finite"):
             parse_config(write_config(tmp_path, bad))
 
     def test_resource_cap_refused_at_parse(self, tmp_path):
