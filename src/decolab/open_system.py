@@ -232,8 +232,13 @@ def spin_bath_reduced_dynamics(params, times):
 
     H is a sum of commuting single-spin terms, so psi(t) is psi0 times the
     Kronecker product over bath spins k (spin 0 most significant) of
-    (e^{-i g_k t/2}, e^{+i g_k t/2}), conjugated for the system spin down;
-    rho_S = psi_mat @ psi_mat^dag.  Returns ``np.shape(times) + (2, 2)``.
+    (e^{-i g_k t/2}, e^{+i g_k t/2}), conjugated for the system spin down.
+    That product is hi (x) lo, two half-bath tables over all times, so with
+    psi0 as (2, hi bits, lo bits) each entry of Tr_E is one contraction,
+    rho_ij[t] = sum_ab (hi_i conj(hi_j))[t,a] C_ij[a,b] (lo_i conj(lo_j))[t,b]
+    with C_ij = psi0[i] conj(psi0[j]), hi_0 = hi, hi_1 = conj(hi) (lo alike).
+    The sums are numpy einsums, never BLAS, so the bytes do not depend on
+    the thread count; rho_10 = conj(rho_01).  Returns np.shape(times) + (2, 2).
     """
     _check_spin_cap(params.n_spins)
     times = np.asarray(times, dtype=float)
@@ -246,12 +251,21 @@ def spin_bath_reduced_dynamics(params, times):
             table = (table[:, :, None] * part[:, k, None]).reshape(
                 times.size, 2 << k)
         halves.append(table)
-    psi0 = spin_bath_initial_vector(params).reshape(2, -1)
+    hi, lo = halves
+    psi0 = spin_bath_initial_vector(params).reshape(2, hi.shape[1], -1)
+    # populations: every factor is real
+    pops = np.einsum("ta,tia->ti", np.abs(hi) ** 2, np.einsum(
+        "iab,tb->tia", np.abs(psi0) ** 2, np.abs(lo) ** 2))
+    # coherence: C_01 lo^2 as one real product on interleaved (re, im)
+    # pairs, each entry c standing as [[re c, -im c], [im c, re c]]
+    c = psi0[0] * psi0[1].conj()
+    block = np.array([[c.real, -c.imag], [c.imag, c.real]])
+    block = block.transpose(2, 0, 3, 1).reshape(2 * c.shape[0], -1)
+    y = np.einsum("ab,tb->ta", block, (lo * lo).view(float)).view(complex)
+    coh = np.einsum("ta,ta->t", hi * hi, y)
     out = np.empty((times.size, 2, 2), dtype=complex)
-    for k, (hi, lo) in enumerate(zip(*halves)):
-        hi, lo = np.array([hi, hi.conj()]), np.array([lo, lo.conj()])
-        psi_mat = (hi[:, :, None] * lo[:, None, :]).reshape(2, -1) * psi0
-        out[k] = psi_mat @ psi_mat.conj().T
+    out[:, 0, 0], out[:, 1, 1] = pops[:, 0], pops[:, 1]
+    out[:, 0, 1], out[:, 1, 0] = coh, coh.conj()
     return out.reshape(times.shape + (2, 2))
 
 

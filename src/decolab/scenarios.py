@@ -62,10 +62,6 @@ class ScenarioResult:
 # ---------------------------------------------------------------------------
 
 _SCENARIO_KEYS = {"kind", "name", "seed", "t_max", "samples"}
-_TOL_DEFAULTS = {
-    "weak_limit_epsilon": 1e-3,
-    "fit_floor_log": fits.FIT_FLOOR_LOG,
-}
 
 
 def _angle(raw):
@@ -79,6 +75,12 @@ def _angle(raw):
 
 # written as a range so that inf and NaN are refused too
 _POSITIVE = (lambda x: 0 < x < math.inf, "must be positive and finite")
+_FINITE = (math.isfinite, "must be finite")
+# each tolerance's (default, check, why)
+_TOLERANCES = {
+    "weak_limit_epsilon": (1e-3, *_POSITIVE),
+    "fit_floor_log": (fits.FIT_FLOOR_LOG, *_FINITE),
+}
 # per kind, each key's (cast, default or _REQUIRED, check or None, why)
 _PARAMS = {
     "eid-spin-bath": {
@@ -86,7 +88,9 @@ _PARAMS = {
                     f"need 1..{SPIN_CAP} bath spins"),
         "coupling_min": (float, 0.5, *_POSITIVE),
         "coupling_max": (float, 1.5, *_POSITIVE),
-        "bath_angle": (_angle, math.pi / 2, None, ""),
+        "bath_angle": (_angle, math.pi / 2,
+                       lambda a: a == "random" or math.isfinite(a),
+                       "must be finite, 'random' or 'half-pi'"),
         "amp0": (float, 1 / math.sqrt(2), lambda a: 0 < a < 1,
                  "need 0 < amp0 < 1"),
     },
@@ -96,10 +100,10 @@ _PARAMS = {
         "n": (int, 400, lambda n: MIN_SAMPLES <= n <= 2000,
               f"need {MIN_SAMPLES}..2000 grid points"),
         "omega_max": (float, 10.0, *_POSITIVE),
-        "center": (float, 5.0, None, ""),
+        "center": (float, 5.0, *_FINITE),
         "width": (float, 1.2, *_POSITIVE),
         "cross_width": (float, 0.5, *_POSITIVE),
-        "amplitude": (float, 0.25, None, ""),
+        "amplitude": (float, 0.25, *_FINITE),
         "kernel_csv": (str, None, None, ""),
     },
     "master-eq-toy": {
@@ -152,20 +156,17 @@ def _parse_params(cp, kind):
 
 
 def _parse_tolerances(cp, overrides):
-    tol = dict(_TOL_DEFAULTS)
-    if cp.has_section("tolerances"):
-        for key in cp.options("tolerances"):
-            tol[key] = _get(cp, "tolerances", key, float)
-    for key, value in (overrides or {}).items():
-        if key not in _TOL_DEFAULTS:
+    overrides = overrides or {}
+    for key in overrides:
+        if key not in _TOLERANCES:
             raise ConfigError(
                 f"unknown tolerance '{key}'; known tolerances: "
-                f"{', '.join(sorted(_TOL_DEFAULTS))}"
+                f"{', '.join(sorted(_TOLERANCES))}"
             )
-        tol[key] = float(value)
-    if tol["weak_limit_epsilon"] <= 0:
-        raise ConfigError("[tolerances] key 'weak_limit_epsilon': must be positive")
-    return tol
+    # an override is read and checked as if it stood in [tolerances]
+    cp.read_dict({"tolerances": overrides})
+    return {key: _get(cp, "tolerances", key, float, *spec)
+            for key, spec in _TOLERANCES.items()}
 
 
 def parse_config(path, seed=None, tol_overrides=None):
@@ -187,7 +188,7 @@ def parse_config(path, seed=None, tol_overrides=None):
     _check_sections(cp, kind)
     _check_keys(cp, "scenario", _SCENARIO_KEYS)
     _check_keys(cp, kind, _PARAMS[kind])
-    _check_keys(cp, "tolerances", set(_TOL_DEFAULTS))
+    _check_keys(cp, "tolerances", _TOLERANCES)
 
     name = _get(cp, "scenario", "name", str, kind,
                 check=lambda s: bool(_NAME_RE.match(s)),

@@ -86,6 +86,15 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "coupling_max" in err and "Traceback" not in err
 
+    def test_non_finite_tolerance_is_reported(self, tmp_path, capsys):
+        cfg = write(tmp_path, TOY_CONFIG, "toy.ini")
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--tol-override", "weak_limit_epsilon=nan"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "weak_limit_epsilon" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_tolerance_is_reported(self, tmp_path, capsys):
         cfg = write(tmp_path, TOY_CONFIG, "toy.ini")
         code = main(["run", "--config", cfg, "--out", str(tmp_path / "out"),

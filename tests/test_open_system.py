@@ -1,9 +1,15 @@
 """Open-system route: lifting, tracing, projector, spin-bath scenario."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import decolab
 from decolab.liouville import (
     DimensionMismatchError,
     coarse_grain,
@@ -322,6 +328,61 @@ class TestSpinBathScenario:
         assert np.max(np.abs(series[:, 0, 1] - coh)) <= 1e-10
         assert np.max(np.abs(series[:, 0, 0] - 0.7)) <= 1e-12
         assert np.max(np.abs(series[:, 1, 1] - 0.3)) <= 1e-12
+
+    def test_reduced_dynamics_odd_bath_complex_amplitude(self):
+        # 13 spins split into unequal half-bath tables (6 and 7 spins)
+        rng = np.random.default_rng(63)
+        params = SpinBathParams(
+            couplings=tuple(rng.uniform(0.5, 1.5, 13)),
+            angles=tuple(rng.uniform(0, np.pi, 13)),
+            amplitude_0=np.sqrt(0.6),
+            amplitude_1=np.sqrt(0.4) * np.exp(-1.1j),
+        )
+        times = np.linspace(0.0, 30.0, 40)
+        series = spin_bath_reduced_dynamics(params, times)
+        coh = spin_bath_coherence(params, times)
+        assert np.max(np.abs(series[:, 0, 1] - coh)) <= 1e-10
+        assert np.max(np.abs(series[:, 0, 0] - 0.6)) <= 1e-12
+        assert np.max(np.abs(series[:, 1, 1] - 0.4)) <= 1e-12
+
+    def test_reduced_dynamics_is_exactly_hermitian(self):
+        rng = np.random.default_rng(64)
+        params = SpinBathParams(
+            couplings=tuple(rng.uniform(0.5, 1.5, 9)),
+            angles=tuple(rng.uniform(0, np.pi, 9)),
+            amplitude_0=np.sqrt(0.3),
+            amplitude_1=np.sqrt(0.7) * np.exp(2.0j),
+        )
+        series = spin_bath_reduced_dynamics(params, rng.uniform(0, 20, 64))
+        assert np.array_equal(series[:, 1, 0], series[:, 0, 1].conj())
+        assert np.array_equal(series[:, 0, 0].imag, np.zeros(64))
+        assert np.array_equal(series[:, 1, 1].imag, np.zeros(64))
+
+    def test_reduced_dynamics_bytes_do_not_depend_on_blas_threads(self):
+        # a 14-spin, 200-time call in children with one and two BLAS
+        # threads: a reduction whose order follows the thread count
+        # would change the last bits
+        code = (
+            "import hashlib, numpy as np\n"
+            "from decolab.open_system import SpinBathParams, "
+            "spin_bath_reduced_dynamics\n"
+            "rng = np.random.default_rng(65)\n"
+            "p = SpinBathParams(couplings=rng.uniform(0.5, 1.5, 14), "
+            "angles=rng.uniform(0, np.pi, 14))\n"
+            "out = spin_bath_reduced_dynamics(p, np.linspace(0, 12, 200))\n"
+            "print(hashlib.sha256(out.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(decolab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=path)
+            run = subprocess.run([sys.executable, "-c", code], env=env,
+                                 check=True, timeout=120,
+                                 capture_output=True, text=True)
+            digests.append(run.stdout.strip())
+        assert len(digests[0]) == 64 and digests[0] == digests[1]
 
     def test_reduced_dynamics_keeps_the_shape_of_times(self):
         params = SpinBathParams(couplings=(0.8, 1.2, 0.6),

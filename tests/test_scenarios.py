@@ -13,8 +13,9 @@ import pytest
 
 import decolab
 from decolab.open_system import SpinBathParams, spin_bath_coherence
-from decolab.scenarios import (_PARAMS, _POSITIVE, ConfigError,
-                               ScenarioConfig, parse_config, run_scenario)
+from decolab.scenarios import (_FINITE, _PARAMS, _POSITIVE, _TOLERANCES,
+                               ConfigError, ScenarioConfig, parse_config,
+                               run_scenario)
 from decolab.timeseries import TimeSeries
 
 
@@ -137,6 +138,13 @@ class TestConfigParsing:
                            tol_overrides={"weak_limit_epsilon": 1e-5})
         assert cfg.tolerances["weak_limit_epsilon"] == 1e-5
 
+    def test_tol_override_beats_the_config_value(self, tmp_path):
+        text = EID_CONFIG + "\n[tolerances]\nweak_limit_epsilon = 1e-2\n"
+        cfg = parse_config(write_config(tmp_path, text),
+                           tol_overrides={"weak_limit_epsilon": 1e-5})
+        assert cfg.tolerances["weak_limit_epsilon"] == 1e-5
+        assert cfg.tolerances["fit_floor_log"] == -2.0
+
     def test_unknown_tol_override_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown tolerance 'bogus'"):
             parse_config(write_config(tmp_path, EID_CONFIG),
@@ -182,9 +190,10 @@ class TestConfigParsing:
             parse_config(write_config(tmp_path, bad))
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
-    @pytest.mark.parametrize("kind, key", [("eid-spin-bath", "t_max")] + [
+    @pytest.mark.parametrize("kind, key", [
+        ("eid-spin-bath", "t_max"), ("eid-spin-bath", "bath_angle")] + [
         (kind, key) for kind, specs in _PARAMS.items()
-        for key, spec in specs.items() if spec[2:] == _POSITIVE])
+        for key, spec in specs.items() if spec[2:] in (_POSITIVE, _FINITE)])
     def test_non_finite_value_names_key(self, tmp_path, kind, key, value):
         if key == "t_max":
             bad = EID_CONFIG.replace("t_max = 8.0", f"t_max = {value}")
@@ -195,6 +204,16 @@ class TestConfigParsing:
                 + f"{key} = {value}\n"
         with pytest.raises(ConfigError, match=f"key '{key}'.*finite"):
             parse_config(write_config(tmp_path, bad))
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("key", sorted(_TOLERANCES))
+    def test_non_finite_tolerance_names_key(self, tmp_path, key, value):
+        text = EID_CONFIG + f"\n[tolerances]\n{key} = {value}\n"
+        with pytest.raises(ConfigError, match=f"key '{key}'.*finite"):
+            parse_config(write_config(tmp_path, text))
+        with pytest.raises(ConfigError, match=f"key '{key}'.*finite"):
+            parse_config(write_config(tmp_path, EID_CONFIG, "plain.ini"),
+                         tol_overrides={key: float(value)})
 
     def test_resource_cap_refused_at_parse(self, tmp_path):
         bad = EID_CONFIG.replace("n_spins = 6", "n_spins = 15")
@@ -215,6 +234,9 @@ class TestConfigParsing:
         cfg = parse_config(write_config(
             tmp_path, EID_CONFIG + "bath_angle = random\n"))
         assert cfg.params["bath_angle"] == "random"
+        cfg = parse_config(write_config(
+            tmp_path, EID_CONFIG + "bath_angle = half-pi\n"))
+        assert cfg.params["bath_angle"] == math.pi / 2
 
 
 class TestEidRunner:
@@ -255,7 +277,8 @@ class TestEidRunner:
         assert r1.json_path.read_bytes() == r2.json_path.read_bytes()
 
     def test_one_blas_thread_writes_same_bytes(self, tmp_path):
-        # at the spin cap the partial trace is a 2 x 2^14 zgemm per sample
+        # at the spin cap the partial trace contracts 2^7 x 2^7 half-bath
+        # tables over 100 samples
         assert_one_blas_thread_writes_same_bytes(tmp_path, EID_CONFIG.replace(
             "n_spins = 6", "n_spins = 14\nbath_angle = random"))
 
