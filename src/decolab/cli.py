@@ -14,52 +14,51 @@ import numpy as np
 
 from . import scenarios
 from .continuum import discretized_unitary_oracle, gaussian_scenario
-from .fits import ordering_report
+from .fits import fit_decoherence_time, fit_relaxation_time, ordering_report
 from .master_eq import dissipative_toy
 from .open_system import SpinBathParams, spin_bath_coherence
 from .timeseries import TimeSeries
 
 
 def _tol_pair(text):
+    # the value stays text: the config schema parses and checks it
     if "=" not in text:
         raise argparse.ArgumentTypeError(
             f"expected KEY=VALUE, got {text!r}")
     key, _, raw = text.partition("=")
-    try:
-        return key.strip(), float(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"tolerance value in {text!r} is not a number") from None
+    return key.strip(), raw
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the scenario seed")
-    common.add_argument("--tol-override", metavar="KEY=VALUE", type=_tol_pair,
-                        action="append", default=[],
-                        help="override a tolerance (repeatable), e.g. "
-                             "weak_limit_epsilon=1e-4")
+    # each subcommand takes only the flags it reads
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None,
+                      help="override the scenario seed")
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol-override", metavar="KEY=VALUE", type=_tol_pair,
+                     action="append", default=[],
+                     help="override a tolerance (repeatable), e.g. "
+                          "weak_limit_epsilon=1e-4")
     parser = argparse.ArgumentParser(
         prog="decolab",
         description="coarse-graining laboratory: run decoherence scenarios, "
                     "fit characteristic times, compare reports")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", parents=[common],
+    run = sub.add_parser("run", parents=[seed, tol],
                         help="run a scenario config; write CSV record and "
                              "JSON summary")
     run.add_argument("--config", required=True, help="scenario config file")
     run.add_argument("--out", required=True, help="output directory")
 
-    fit = sub.add_parser("fit", parents=[common],
+    fit = sub.add_parser("fit", parents=[tol],
                          help="fit characteristic times from a CSV record")
     fit.add_argument("--series", required=True, help="CSV written by 'run'")
     fit.add_argument("--channel", default=None,
                      help="decay channel to fit (default: offdiag_modulus "
                           "or offdiag_contrib, whichever exists)")
 
-    cmp_ = sub.add_parser("compare", parents=[common],
+    cmp_ = sub.add_parser("compare",
                           help="tabulate t_D vs t_R across summary JSONs")
     cmp_.add_argument("--reports", required=True,
                       help="directory of summary JSON files")
@@ -67,7 +66,7 @@ def build_parser():
                       help="path for the comparison JSON "
                            "(default: <reports>/comparison.json)")
 
-    orc = sub.add_parser("oracle", parents=[common],
+    orc = sub.add_parser("oracle", parents=[seed],
                          help="print the brute-force reference record for a "
                               "stock scenario")
     orc.add_argument("--scenario", required=True, choices=scenarios.KINDS)
@@ -85,13 +84,9 @@ def _cmd_run(args):
 
 
 def _cmd_fit(args):
+    floor = scenarios.parse_tolerances(
+        dict(args.tol_override))["fit_floor_log"]
     series = TimeSeries.from_csv(args.series)
-    overrides = dict(args.tol_override)
-    floor = overrides.get("fit_floor_log")
-    kwargs = {} if floor is None else {"floor_log": floor}
-
-    from .fits import fit_decoherence_time, fit_relaxation_time
-
     if args.channel is not None:
         channel = args.channel
     else:
@@ -113,12 +108,12 @@ def _cmd_fit(args):
     out = {
         "series": args.series,
         "channel": channel,
-        "t_D": fit_decoherence_time(series.times, values, **kwargs).as_dict(),
+        "t_D": fit_decoherence_time(series.times, values, floor).as_dict(),
     }
     if "diag_distance" in series.channels:
         out["t_R"] = fit_relaxation_time(series.times,
                                          series.channel("diag_distance"),
-                                         **kwargs).as_dict()
+                                         floor).as_dict()
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0
 

@@ -85,8 +85,10 @@ class EnergyGrid:
         w = np.asarray(self.omega, dtype=float)
         if w.ndim != 1 or w.size < 2:
             raise ValueError("grid needs at least 2 energies")
-        if np.any(np.diff(w) <= 0):
-            raise ValueError("grid energies must be strictly increasing")
+        # "not all > 0" so that NaN gaps are refused too
+        if not (np.all(np.isfinite(w)) and np.all(np.diff(w) > 0)):
+            raise ValueError(
+                "grid energies must be finite and strictly increasing")
         if w[0] < 0:
             raise ValueError("grid energies must be >= 0")
         if self.weights is None:
@@ -379,7 +381,7 @@ def _bilinear(nodes, values, targets):
 # independent oracle: phases on explicit matrices
 # ---------------------------------------------------------------------------
 
-def discretized_unitary_oracle(state, obs, t, cap=ORACLE_GRID_CAP):
+def discretized_unitary_oracle(state, obs, t):
     """Brute-force pairing via explicit matrix representations.
 
     Each sector is represented as an N x N matrix with quadrature weights
@@ -389,11 +391,13 @@ def discretized_unitary_oracle(state, obs, t, cap=ORACLE_GRID_CAP):
     the sector-wise sum of Tr(rho(t) O).  The sectors never mix (the
     kernel algebra is a direct sum), which is what makes this an honest
     rephrasing of the quadrature rather than a second copy of it.
+    Grids beyond ORACLE_GRID_CAP points are refused.
     """
     _same_grid(state.grid, obs.grid)
     g = state.grid
-    if g.size > cap:
-        raise ValueError(f"oracle capped at N = {cap}, grid has {g.size}")
+    if g.size > ORACLE_GRID_CAP:
+        raise ValueError(
+            f"oracle capped at N = {ORACLE_GRID_CAP}, grid has {g.size}")
     sq = np.sqrt(g.weights)
     rho_diag = np.diag(g.weights * state.diag)
     obs_diag = np.diag(obs.diag)

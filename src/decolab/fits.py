@@ -104,6 +104,8 @@ def _window_fit(times, env, powers, floor_log):
     MIN_DECAY_FACTOR is refused, and one without a decaying fit in its
     window gives a no-fit result.
     """
+    if not math.isfinite(floor_log):
+        raise ValueError(f"floor_log must be finite, got {floor_log}")
     amax = float(env.max())
     if env[-1] * MIN_DECAY_FACTOR > amax:
         return FitResult(None, None, None, None,
@@ -154,16 +156,15 @@ def fit_decoherence_time(times, values, floor_log=FIT_FLOOR_LOG):
     return _window_fit(times, env, (1, 2), floor_log)
 
 
-def fit_relaxation_time(times, values, equilibrium=0.0, floor_log=FIT_FLOOR_LOG):
+def fit_relaxation_time(times, values, floor_log=FIT_FLOOR_LOG):
     """Fit the exponential approach of a population channel to equilibrium.
 
-    values may be a distance-from-equilibrium record directly (the
-    default equilibrium of zero) or a raw channel paired with its known
-    limit.  A channel that never leaves equilibrium reports that
-    relaxation is not applicable rather than inventing a time scale.
+    values is the distance-from-equilibrium record.  A channel that
+    never leaves equilibrium reports that relaxation is not applicable
+    rather than inventing a time scale.
     """
     times, values = _check_series(times, values)
-    dist = np.abs(np.asarray(values, dtype=float) - float(equilibrium))
+    dist = np.abs(np.asarray(values, dtype=float))
     if float(dist.max()) <= SIGNAL_ATOL:
         return FitResult(None, None, None, None,
                          "not applicable (no dissipation)")
@@ -173,25 +174,19 @@ def fit_relaxation_time(times, values, equilibrium=0.0, floor_log=FIT_FLOOR_LOG)
 def detect_weak_limit(times, channels, epsilon, recurrence_window=None):
     """Earliest time after which every channel stays near its long-time mean.
 
-    Only samples inside the recurrence window count: the long-time mean
-    is taken over the final stretch of the in-window record, and t_star
-    is the earliest sample such that every channel remains within
-    epsilon of its mean at all later in-window samples.  Samples beyond
-    the window are ignored and flagged, and failure to settle is
-    reported as non-convergence rather than a guessed time.
+    ``channels`` maps each name to its values.  Only samples inside the
+    recurrence window count: the long-time mean is taken over the final
+    stretch of the in-window record, and t_star is the earliest sample
+    such that every channel remains within epsilon (0 < epsilon < inf)
+    of its mean at all later in-window samples.  Samples beyond the
+    window are ignored and flagged, and failure to settle is reported
+    as non-convergence rather than a guessed time.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if not isinstance(channels, dict):
-        channels = {"channel": channels}
-    if not channels:
-        raise ValueError("need at least one monitored channel")
-    names = list(channels)
-    times, first = _check_series(times, channels[names[0]])
-    data = {}
-    for name in names:
-        _, vals = _check_series(times, channels[name])
-        data[name] = np.asarray(vals, dtype=float)
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    if not isinstance(channels, dict) or not channels:
+        raise ValueError("channels must be a non-empty dict name -> values")
+    times, _ = _check_series(times, next(iter(channels.values())))
 
     flags = []
     mask = np.ones(times.size, dtype=bool)
@@ -209,8 +204,8 @@ def detect_weak_limit(times, channels, epsilon, recurrence_window=None):
     tail_n = max(3, int(math.ceil(TAIL_FRACTION * t_in.size)))
     equilibrium = {}
     deviation = np.zeros(t_in.size)
-    for name in names:
-        vals = data[name][mask]
+    for name, vals in channels.items():
+        vals = np.asarray(_check_series(times, vals)[1], dtype=float)[mask]
         mean = float(np.mean(vals[-tail_n:]))
         equilibrium[name] = mean
         deviation = np.maximum(deviation, np.abs(vals - mean))

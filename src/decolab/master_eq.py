@@ -169,10 +169,10 @@ def evolve_master_exact(rho0, pi, liouville, times):
 # memory-kernel (P/Q) route
 # ---------------------------------------------------------------------------
 
-def _range_basis(projector, tol=1e-10):
+def _range_basis(projector):
     """Orthonormal basis of the column space of an idempotent matrix."""
     u, s, _ = np.linalg.svd(np.asarray(projector, dtype=complex))
-    rank = int(np.sum(s > tol * max(1.0, float(s[0]))))
+    rank = int(np.sum(s > 1e-10 * max(1.0, float(s[0]))))
     return u[:, :rank]
 
 
@@ -255,8 +255,10 @@ def evolve_nakajima_zwanzig(rho0, pi, liouville, times, kernel_window=None,
         raise ValueError(
             f"kernel_window must be positive or None, got {kernel_window}")
     times = np.asarray(times, dtype=float)
-    pq = _pq_system(pi, liouville)
     x0 = vec(np.asarray(rho0, dtype=complex))
+    if np.shape(pi)[0] != x0.size:
+        raise DimensionMismatchError("projector does not match state dimension")
+    pq = _pq_system(pi, liouville)
     y0 = pq.p @ x0
     z0 = np.zeros(pq.lam.size, dtype=complex) if relevant_only else pq.seed @ x0
     t0, t1 = float(times[0]), float(times[-1])

@@ -155,7 +155,9 @@ def _parse_params(cp, kind):
             for key, spec in _PARAMS[kind].items()}
 
 
-def _parse_tolerances(cp, overrides):
+def parse_tolerances(overrides=None, cp=None):
+    """[tolerances] of config ``cp`` (default: none) with the ``overrides``
+    mapping merged over it, each value read and checked as in the file."""
     overrides = overrides or {}
     for key in overrides:
         if key not in _TOLERANCES:
@@ -163,7 +165,7 @@ def _parse_tolerances(cp, overrides):
                 f"unknown tolerance '{key}'; known tolerances: "
                 f"{', '.join(sorted(_TOLERANCES))}"
             )
-    # an override is read and checked as if it stood in [tolerances]
+    cp = cp if cp is not None else configparser.ConfigParser()
     cp.read_dict({"tolerances": overrides})
     return {key: _get(cp, "tolerances", key, float, *spec)
             for key, spec in _TOLERANCES.items()}
@@ -208,7 +210,7 @@ def parse_config(path, seed=None, tol_overrides=None):
         raise ConfigError(
             "[sid-kernel] key 'kernel_csv' is required when family = table"
         )
-    tolerances = _parse_tolerances(cp, tol_overrides)
+    tolerances = parse_tolerances(tol_overrides, cp)
     return ScenarioConfig(kind=kind, name=name,
                           seed=seed if seed is not None else cfg_seed,
                           t_max=t_max, samples=samples, params=params,

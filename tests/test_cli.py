@@ -103,6 +103,49 @@ class TestRunCommand:
         assert "unknown tolerance" in capsys.readouterr().err
 
 
+class TestFlags:
+    @pytest.mark.parametrize("command,flag", [
+        (["compare", "--reports", "r"], ["--seed", "3"]),
+        (["compare", "--reports", "r"],
+         ["--tol-override", "fit_floor_log=nan"]),
+        (["fit", "--series", "s.csv"], ["--seed", "1"]),
+        (["oracle", "--scenario", "master-eq-toy"],
+         ["--tol-override", "nope=1"]),
+    ])
+    def test_flag_a_subcommand_does_not_read_is_refused(self, command, flag,
+                                                        capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(command + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", ["fit_floor_log=nan",
+                                          "fit_floor_log=inf", "nope=3"])
+    def test_fit_refuses_an_override_as_run_does(self, tmp_path, capsys,
+                                                 override):
+        cfg = write(tmp_path, TOY_CONFIG, "toy.ini")
+        out = tmp_path / "out"
+        main(["run", "--config", cfg, "--out", str(out)])
+        capsys.readouterr()
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "b"),
+                     "--tol-override", override])
+        run_err = capsys.readouterr().err
+        assert code == 2 and run_err.startswith("error: ")
+        code = main(["fit", "--series", str(out / "toy.csv"),
+                     "--tol-override", override])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == run_err and not captured.out
+
+    def test_non_number_override_names_the_key(self, tmp_path, capsys):
+        cfg = write(tmp_path, TOY_CONFIG, "toy.ini")
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--tol-override", "weak_limit_epsilon=abc"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: [tolerances] key 'weak_limit_epsilon': "
+            "cannot parse 'abc'\n")
+
+
 class TestFitCommand:
     def test_fits_a_produced_record(self, tmp_path, capsys):
         cfg = write(tmp_path, TOY_CONFIG, "toy.ini")

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from decolab.continuum import (
+    ORACLE_GRID_CAP,
     EnergyGrid,
     GeneralKernelObservable,
     SingularRidge,
@@ -53,6 +54,13 @@ class TestEnergyGrid:
     def test_rejects_decreasing(self):
         with pytest.raises(ValueError, match="increasing"):
             EnergyGrid(np.array([0.0, 2.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_energies(self, bad):
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            EnergyGrid(np.array([0.0, bad, 2.0]))
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            EnergyGrid(np.array([0.0, 1.0, bad]))
 
     def test_rejects_negative_energies(self):
         with pytest.raises(ValueError, match=">= 0"):
@@ -381,11 +389,11 @@ class TestDiscretizedOracle:
         assert np.ptp(vals) == 0.0
 
     def test_cap_enforced(self):
-        g = EnergyGrid.uniform(0.0, 1.0, 30)
+        g = EnergyGrid.uniform(0.0, 1.0, ORACLE_GRID_CAP + 1)
         state = uniform_state(g)
         obs = VanHoveObservable(g, g.omega.copy())
         with pytest.raises(ValueError, match="capped"):
-            discretized_unitary_oracle(state, obs, 0.0, cap=20)
+            discretized_unitary_oracle(state, obs, 0.0)
 
 
 class TestKernelDiagnostics:

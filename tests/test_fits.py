@@ -101,6 +101,15 @@ class TestDecoherenceFit:
         assert abs(fit.value - 1.0) <= 0.1
 
 
+@pytest.mark.parametrize("floor_log", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("fit", [fit_decoherence_time, fit_relaxation_time])
+def test_rejects_non_finite_floor_log(fit, floor_log):
+    # a NaN floor would silently fit the whole record
+    t = np.linspace(0, 30, 600)
+    with pytest.raises(ValueError, match="floor_log"):
+        fit(t, np.exp(-t / 5), floor_log=floor_log)
+
+
 class TestRelaxationFit:
     def test_pure_exponential_distance(self):
         t = np.linspace(0, 30, 600)
@@ -109,9 +118,9 @@ class TestRelaxationFit:
         assert abs(fit.value - 5.0) <= 1e-6
 
     def test_raw_channel_with_known_limit(self):
+        # the caller turns a raw channel into its distance from the limit
         t = np.linspace(0, 30, 600)
-        fit = fit_relaxation_time(t, 0.4 + 0.3 * np.exp(-t / 5),
-                                  equilibrium=0.4)
+        fit = fit_relaxation_time(t, np.abs(0.4 + 0.3 * np.exp(-t / 5) - 0.4))
         assert fit.ok
         assert abs(fit.value - 5.0) <= 1e-6
 
@@ -142,14 +151,14 @@ class TestRelaxationFit:
 class TestWeakLimit:
     def test_constant_channel_settles_immediately(self):
         t = np.linspace(0, 10, 50)
-        res = detect_weak_limit(t, np.full_like(t, 0.3), epsilon=1e-6)
+        res = detect_weak_limit(t, {"c": np.full_like(t, 0.3)}, epsilon=1e-6)
         assert res.converged
         assert res.t_star == t[0]
-        assert abs(res.equilibrium["channel"] - 0.3) < 1e-12
+        assert abs(res.equilibrium["c"] - 0.3) < 1e-12
 
     def test_exponential_crosses_at_log_epsilon(self):
         t = np.linspace(0, 14, 701)
-        res = detect_weak_limit(t, np.exp(-t), epsilon=math.exp(-3))
+        res = detect_weak_limit(t, {"c": np.exp(-t)}, epsilon=math.exp(-3))
         assert res.converged
         step = t[1] - t[0]
         assert abs(res.t_star - 3.0) <= step + 1e-9
@@ -157,7 +166,7 @@ class TestWeakLimit:
     def test_gaussian_envelope_crossing(self):
         sigma, amp, eps = 0.5, 0.25, 1e-3
         t = np.linspace(0, 40, 4001)
-        res = detect_weak_limit(t, amp * np.exp(-(sigma * t) ** 2 / 2),
+        res = detect_weak_limit(t, {"c": amp * np.exp(-(sigma * t) ** 2 / 2)},
                                 epsilon=eps)
         assert res.converged
         predicted = math.sqrt(2 * math.log(amp / eps)) / sigma
@@ -165,7 +174,7 @@ class TestWeakLimit:
 
     def test_no_convergence_is_flagged(self):
         t = np.linspace(0, 5, 50)
-        res = detect_weak_limit(t, 1.0 / (1.0 + t), epsilon=1e-4)
+        res = detect_weak_limit(t, {"c": 1.0 / (1.0 + t)}, epsilon=1e-4)
         assert not res.converged
         assert any("no convergence" in f for f in res.flags)
 
@@ -173,7 +182,7 @@ class TestWeakLimit:
         t = np.linspace(0, 20, 400)
         # settles early, then a revival after the declared window
         v = np.exp(-t) + np.where(t > 12, 0.5, 0.0)
-        res = detect_weak_limit(t, v, epsilon=math.exp(-3),
+        res = detect_weak_limit(t, {"c": v}, epsilon=math.exp(-3),
                                 recurrence_window=10.0)
         assert res.converged
         assert res.t_star < 4.0
@@ -188,8 +197,15 @@ class TestWeakLimit:
 
     def test_rejects_bad_epsilon(self):
         t = np.linspace(0, 5, 20)
-        with pytest.raises(ValueError, match="epsilon"):
-            detect_weak_limit(t, np.exp(-t), epsilon=0.0)
+        for epsilon in (0.0, -1e-3, math.nan, math.inf):
+            with pytest.raises(ValueError, match="epsilon"):
+                detect_weak_limit(t, {"c": np.exp(-t)}, epsilon=epsilon)
+
+    @pytest.mark.parametrize("channels", [{}, np.exp(-np.linspace(0, 5, 20))])
+    def test_rejects_channels_not_a_named_dict(self, channels):
+        t = np.linspace(0, 5, 20)
+        with pytest.raises(ValueError, match="dict"):
+            detect_weak_limit(t, channels, epsilon=1e-3)
 
 
 class TestOrderingReport:

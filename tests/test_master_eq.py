@@ -9,6 +9,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from decolab.liouville import (
+    DimensionMismatchError,
     biorthogonalize,
     build_projector,
     coarse_grain,
@@ -387,6 +388,17 @@ class TestNakajimaZwanzig:
                                         diagonal_projector(3), lv,
                                         np.linspace(0.0, 2.0, 5),
                                         kernel_window=window)
+
+
+@pytest.mark.parametrize("solver", [evolve_master_exact,
+                                    evolve_nakajima_zwanzig])
+def test_projector_state_dimension_mismatch_refused(solver):
+    rng = np.random.default_rng(30)
+    lv = build_liouvillian(random_hermitian(rng, 3))
+    with pytest.raises(DimensionMismatchError, match="projector does not "
+                                                     "match state dimension"):
+        solver(random_density(rng, 2), diagonal_projector(3), lv,
+               np.linspace(0.0, 1.0, 3))
 
 
 class TestDissipativeToy:
