@@ -84,8 +84,12 @@ def _cmd_run(args):
 
 
 def _cmd_fit(args):
-    floor = scenarios.parse_tolerances(
-        dict(args.tol_override))["fit_floor_log"]
+    overrides = dict(args.tol_override)
+    floor = scenarios.parse_tolerances(overrides)["fit_floor_log"]
+    unread = sorted(overrides.keys() - {"fit_floor_log"})
+    if unread:
+        raise scenarios.ConfigError(
+            f"[tolerances] key '{unread[0]}': fit reads only fit_floor_log")
     series = TimeSeries.from_csv(args.series)
     if args.channel is not None:
         channel = args.channel
@@ -136,13 +140,6 @@ def _cmd_compare(args):
     return 0 if report.ordering_satisfied else 1
 
 
-def _print_record(names, times, columns):
-    print(",".join(names))
-    for k, t in enumerate(times):
-        row = [t] + [col[k] for col in columns]
-        print(",".join(repr(float(x)) for x in row))
-
-
 def _cmd_oracle(args):
     # fixed reference configurations, small enough to check by eye
     seed = 0 if args.seed is None else args.seed
@@ -152,13 +149,13 @@ def _cmd_oracle(args):
         params = SpinBathParams(couplings=rng.uniform(0.5, 1.5, n),
                                 angles=np.full(n, math.pi / 2))
         times = np.linspace(0.0, 8.0, 81)
-        coherence = np.abs(spin_bath_coherence(params, times))
-        _print_record(["t", "coherence_modulus"], times, [coherence])
+        channels = {"coherence_modulus":
+                    np.abs(spin_bath_coherence(params, times))}
     elif args.scenario == "sid-kernel":
         state, obs = gaussian_scenario()
         times = np.linspace(0.0, 8.0, 81)
-        values = [discretized_unitary_oracle(state, obs, t) for t in times]
-        _print_record(["t", "expectation"], times, [values])
+        channels = {"expectation": [discretized_unitary_oracle(state, obs, t)
+                                    for t in times]}
     else:
         # closed form for the toy: every coherence decays at the same
         # rate, the population gap closes at the relaxation rate
@@ -167,12 +164,13 @@ def _cmd_oracle(args):
         p0 = np.real(np.diag(toy.rho0))
         p_star = np.asarray(toy.equilibrium, dtype=float)
         off0 = toy.rho0 - np.diag(np.diag(toy.rho0))
-        offdiag = float(np.linalg.norm(off0)) \
-            * np.exp(-toy.gamma_decohere * times)
-        diag_dist = float(np.linalg.norm(p0 - p_star)) \
-            * np.exp(-toy.gamma_relax * times)
-        _print_record(["t", "offdiag_modulus", "diag_distance"], times,
-                      [offdiag, diag_dist])
+        channels = {
+            "offdiag_modulus": float(np.linalg.norm(off0))
+            * np.exp(-toy.gamma_decohere * times),
+            "diag_distance": float(np.linalg.norm(p0 - p_star))
+            * np.exp(-toy.gamma_relax * times),
+        }
+    TimeSeries(times=times, channels=channels).write_csv(sys.stdout)
     return 0
 
 

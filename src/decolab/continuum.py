@@ -47,6 +47,7 @@ __all__ = [
     "discretized_unitary_oracle",
     "load_table_kernel",
     "sid_scenario",
+    "family_kernel",
     "gaussian_scenario",
     "gaussian_envelope",
 ]
@@ -119,6 +120,12 @@ class EnergyGrid:
         """Quadrature of samples against the grid weights."""
         return complex(np.sum(self.weights * np.asarray(values))) \
             if np.iscomplexobj(values) else float(np.sum(self.weights * values))
+
+    def nearest(self, energies):
+        """Index of the nearest grid point; a tie goes to the lower one."""
+        w, x = self.omega, energies
+        hi = np.clip(np.searchsorted(w, x), 1, w.size - 1)
+        return np.where(np.abs(w[hi - 1] - x) <= np.abs(w[hi] - x), hi - 1, hi)
 
     def recurrence_window(self):
         """2*pi / (minimal energy gap): below it the discretization cannot
@@ -334,13 +341,8 @@ def build_vanhove_from_measurements(z, delta_omega, kernel_fn=None):
     nodes = g.omega[0] + dw * np.arange(n_cells + 1)
 
     if kernel_fn is None:
-        # read the gridded kernel at the lattice nodes
-        idx = np.clip(np.searchsorted(g.omega, nodes), 0, g.size - 1)
-        # snap to nearest grid point (instrument reads the actual data)
-        left = np.clip(idx - 1, 0, g.size - 1)
-        snap = np.where(
-            np.abs(g.omega[left] - nodes) <= np.abs(g.omega[idx] - nodes),
-            left, idx)
+        # the instrument reads the gridded kernel nearest each lattice node
+        snap = g.nearest(nodes)
         readings = obs.offdiag[np.ix_(snap, snap)]
         node_pos = g.omega[snap]
         # snapped nodes may repeat at the ends; dedupe for interpolation
@@ -429,12 +431,10 @@ def load_table_kernel(path, grid):
         raise ValueError(f"{path}: empty table, no data rows")
     if table.shape[1] != 4:
         raise ValueError(f"{path}: need 4 columns, read shape {table.shape}")
-    w, pts = grid.omega, table[:, :2]
-    # nearest grid point of each energy; a tie goes to the lower one
-    hi = np.clip(np.searchsorted(w, pts), 1, grid.size - 1)
-    idx = np.where(np.abs(w[hi - 1] - pts) <= np.abs(w[hi] - pts), hi - 1, hi)
+    pts = table[:, :2]
+    idx = grid.nearest(pts)
     # written as "not within" so that a NaN energy is refused too
-    off = ~np.all(np.abs(w[idx] - pts) <= TABLE_MATCH_TOL, axis=1)
+    off = ~np.all(np.abs(grid.omega[idx] - pts) <= TABLE_MATCH_TOL, axis=1)
     if off.any():
         wi, wj = pts[np.argmax(off)]
         raise ValueError(f"{path}: ({wi}, {wj}) is not a grid point")
@@ -473,26 +473,39 @@ def sid_scenario(grid, kernel, center, width, amplitude):
     return state, VanHoveObservable(grid, obs_diag, kernel)
 
 
+def family_kernel(grid, family, center, width, cross_width):
+    """Regular cross-kernel of a stock ``family`` on ``grid``.
+
+    Both families carry the center-of-mass profile
+    exp(-((w+w')/2 - center)^2 / (2 width^2)); the cross profile is
+    exp(-(w-w')^2 / (4 cross_width^2)) for "gaussian" and
+    1 / (1 + ((w-w') / cross_width)^2) for "lorentzian".
+    """
+    w = grid.omega
+    mean = 0.5 * np.add.outer(w, w)
+    diff = np.subtract.outer(w, w)
+    com = np.exp(-((mean - center) ** 2) / (2 * width ** 2))
+    if family == "gaussian":
+        return com * np.exp(-(diff ** 2) / (4 * cross_width ** 2))
+    if family == "lorentzian":
+        return com / (1.0 + (diff / cross_width) ** 2)
+    raise ValueError(f"unknown kernel family {family!r}")
+
+
 def gaussian_scenario(n=400, omega_max=10.0, center=5.0, width=1.2,
                       cross_width=0.5, amplitude=0.25):
     """Gaussian state/observable pair with an exactly known envelope.
 
-    Both kernels carry the same center-of-mass profile
-    exp(-((w+w')/2 - center)^2 / (2 width^2)) and the same cross profile
-    exp(-(w-w')^2 / (4 cross_width^2)), so their product separates in the
-    rotated variables (mean, difference) and the oscillatory sector is an
-    exact Gaussian Fourier transform: offdiag(t) = offdiag(0) *
-    exp(-cross_width^2 t^2 / 2).  Window edges and quadrature spacing are
-    chosen so that boundary tails and aliasing sit far below 1e-4 of the
-    envelope for t <= 4.
+    Both kernels carry the gaussian :func:`family_kernel`, so their
+    product separates in the rotated variables (mean, difference) and
+    the oscillatory sector is an exact Gaussian Fourier transform:
+    offdiag(t) = offdiag(0) * exp(-cross_width^2 t^2 / 2).  Window edges
+    and quadrature spacing are chosen so that boundary tails and
+    aliasing sit far below 1e-4 of the envelope for t <= 4.
     """
     grid = EnergyGrid.uniform(0.0, omega_max, n)
-    w = grid.omega
-    mean = 0.5 * np.add.outer(w, w)
-    diff = np.subtract.outer(w, w)
-    profile = np.exp(-((mean - center) ** 2) / (2 * width ** 2)) \
-        * np.exp(-(diff ** 2) / (4 * cross_width ** 2))
-    return sid_scenario(grid, profile, center, width, amplitude)
+    kernel = family_kernel(grid, "gaussian", center, width, cross_width)
+    return sid_scenario(grid, kernel, center, width, amplitude)
 
 
 def gaussian_envelope(t, cross_width=0.5):

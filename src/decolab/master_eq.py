@@ -230,25 +230,24 @@ def memory_kernel(pi, liouville, taus):
     return MemoryKernel(taus, (left * phase[:, None, :]) @ right, u_p)
 
 
-def evolve_nakajima_zwanzig(rho0, pi, liouville, times, kernel_window=None,
-                            relevant_only=True):
+def evolve_nakajima_zwanzig(rho0, pi, liouville, times, kernel_window=None):
     """Solve the closed P/Q equation for y = P|rho), P = state_map(pi).
 
     The memory integral is carried exactly by the eigenmodes of QLQ on
     range(Q): the pair (y, z) with z the mode coordinates of Q|rho)
     obeys a local linear system whose y-component reproduces the
-    convolution equation.  ``relevant_only`` starts the modes at zero
-    (the Q|rho_0) = 0 assumption); otherwise Q|rho_0) seeds them, which
-    is exactly the inhomogeneous term.
+    convolution equation.  Q|rho_0) seeds the modes, which is exactly
+    the inhomogeneous term, so the equation is exact for every initial
+    state.
 
     A finite ``kernel_window`` w replaces the integral over [0, t] by
-    [t - w, t]: y is driven by z(t) - e^{-iQLQ w} z(t - w), a linear
-    delay equation solved by the method of steps, one integration per
-    window that reads z(t - w) from the previous window's dense output.
+    [t - w, t]: y is driven by z(t) - e^{-iQLQ w} z(t - w), plus the
+    source e^{-iQLQ (t - t0)} Q|rho_0) that this subtraction cancels.
+    The delay equation is solved by the method of steps: one integration
+    per window, reading z(t - w) from the previous window's dense output.
     If w is shorter than the requested horizon a truncation warning with
     a crude bound estimate is emitted.  The windowed path requires
-    ``relevant_only`` and strictly increasing times; a window that is
-    not positive is refused.
+    strictly increasing times; a window that is not positive is refused.
     """
     if kernel_window is not None and not kernel_window > 0:
         # written as "not > 0" so that a NaN window is refused too
@@ -260,18 +259,12 @@ def evolve_nakajima_zwanzig(rho0, pi, liouville, times, kernel_window=None,
         raise DimensionMismatchError("projector does not match state dimension")
     pq = _pq_system(pi, liouville)
     y0 = pq.p @ x0
-    z0 = np.zeros(pq.lam.size, dtype=complex) if relevant_only else pq.seed @ x0
+    z0 = pq.seed @ x0
     t0, t1 = float(times[0]), float(times[-1])
     horizon = t1 - t0
     edges = [t0, t1]
 
     if kernel_window is not None and kernel_window < horizon:
-        if not relevant_only:
-            raise ValueError(
-                "a finite kernel window cannot be combined with the "
-                "inhomogeneous Q rho_0 term; the delayed subtraction would "
-                "truncate it too"
-            )
         # crude tail bound: |e^{-iQLQ tau}| stays O(1) on a real spectrum,
         # so nothing decays by itself and the dropped history is bounded
         # only by its duration times the coupling strengths
@@ -298,7 +291,8 @@ def evolve_nakajima_zwanzig(rho0, pi, liouville, times, kernel_window=None,
     def rhs(t, yz):
         y, z = yz[:ny], yz[ny:]
         drive = z if history is None else \
-            z - decay * history(t - kernel_window)[ny:]
+            z - decay * history(t - kernel_window)[ny:] \
+            + np.exp(-1j * pq.lam * (t - t0)) * z0
         dy = -1j * (pq.plp @ y + pq.from_modes @ drive)
         dz = -1j * (pq.lam * z + pq.into_modes @ y)
         return np.concatenate([dy, dz])

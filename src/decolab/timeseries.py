@@ -65,12 +65,15 @@ class TimeSeries:
                 f"no channel {name!r}; available: {', '.join(self.channels)}"
             ) from None
 
+    def write_csv(self, fh):
+        """Write the header and one row per sample to text stream ``fh``."""
+        fh.write(",".join(self.column_names) + "\n")
+        for row in zip(self.times, *self.channels.values()):
+            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+
     def to_csv(self, path):
-        cols = [self.times, *self.channels.values()]
         with open(path, "w", newline="") as fh:
-            fh.write(",".join(self.column_names) + "\n")
-            for row in zip(*cols):
-                fh.write(",".join(repr(float(x)) for x in row) + "\n")
+            self.write_csv(fh)
 
     @classmethod
     def from_csv(cls, path):

@@ -136,6 +136,39 @@ class TestFlags:
         captured = capsys.readouterr()
         assert code == 2 and captured.err == run_err and not captured.out
 
+    def test_fit_refuses_a_tolerance_it_does_not_read(self, tmp_path,
+                                                      capsys):
+        cfg = write(tmp_path, TOY_CONFIG, "toy.ini")
+        out = tmp_path / "out"
+        main(["run", "--config", cfg, "--out", str(out)])
+        capsys.readouterr()
+        code = main(["fit", "--series", str(out / "toy.csv"),
+                     "--tol-override", "weak_limit_epsilon=1e-9"])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert captured.err == (
+            "error: [tolerances] key 'weak_limit_epsilon': "
+            "fit reads only fit_floor_log\n")
+
+    def test_percent_in_config_value_names_the_key(self, tmp_path, capsys):
+        cfg = write(tmp_path, TOY_CONFIG + "[tolerances]\n"
+                    "fit_floor_log = 5%\n", "pct.ini")
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: [tolerances] key 'fit_floor_log': cannot parse '5%'\n")
+
+    @pytest.mark.parametrize("command", ["run", "fit"])
+    def test_percent_in_override_names_the_key(self, tmp_path, capsys,
+                                               command):
+        cfg = write(tmp_path, TOY_CONFIG, "toy.ini")
+        args = ["run", "--config", cfg, "--out", str(tmp_path / "out")] \
+            if command == "run" else ["fit", "--series", "unread.csv"]
+        code = main(args + ["--tol-override", "fit_floor_log=5%"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: [tolerances] key 'fit_floor_log': cannot parse '5%'\n")
+
     def test_non_number_override_names_the_key(self, tmp_path, capsys):
         cfg = write(tmp_path, TOY_CONFIG, "toy.ini")
         code = main(["run", "--config", cfg, "--out", str(tmp_path / "out"),

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from decolab.continuum import (
     ORACLE_GRID_CAP,
@@ -17,6 +17,7 @@ from decolab.continuum import (
     build_vanhove_from_measurements,
     discretized_unitary_oracle,
     expectation_sid,
+    family_kernel,
     gaussian_envelope,
     gaussian_scenario,
     hamiltonian_observable,
@@ -40,6 +41,12 @@ def uniform_state(grid):
 
 
 class TestEnergyGrid:
+    def test_nearest_ties_go_to_the_lower_point(self):
+        g = EnergyGrid(np.array([0.0, 1.0, 3.0]))
+        got = g.nearest(np.array([[0.5, 2.0], [0.49, 0.51], [-1.0, 9.0],
+                                  [1.0, 2.01]]))
+        assert_array_equal(got, [[0, 1], [0, 1], [0, 2], [1, 2]])
+
     def test_trapezoid_weights_reproduce_trapz(self):
         g = EnergyGrid.uniform(0.0, 3.0, 17)
         f = np.sin(g.omega) + 0.3 * g.omega ** 2
@@ -118,6 +125,11 @@ class TestTypeInvariants:
         diag[2] = np.nan
         with pytest.raises(ValueError, match="finite"):
             kind(g, diag)
+
+
+def test_family_kernel_refuses_an_unknown_family():
+    with pytest.raises(ValueError, match="unknown kernel family 'table'"):
+        family_kernel(EnergyGrid.uniform(0.0, 1.0, 4), "table", 0.5, 1.0, 1.0)
 
 
 class TestExpectation:

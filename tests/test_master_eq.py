@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 
 from decolab.liouville import (
     DimensionMismatchError,
@@ -109,31 +109,42 @@ def eid_fixture(rng, dim_s, dim_e, coupling=0.8):
     return h, rho0
 
 
-def windowed_chain_reference(pq, y0, times, window):
+def windowed_chain_reference(pq, x0, times, window):
     """y(t) of the windowed P/Q equation by the method of steps, by expm.
 
-    With x = (y, z) and Q|rho_0) = 0, the pieces u_j(s) = x(t0 + j w + s)
-    of window m obey u_0' = G u_0 and u_j' = G u_j + B u_{j-1} for
-    j <= m: one block-bidiagonal linear system per window.
+    With v = (y, z, r), z(t0) = r(t0) the mode coordinates of Q|rho_0)
+    and the source r' = -i QLQ r, the pieces u_j(s) = v(t0 + j w + s) of
+    window m obey u_0' = G_0 u_0 and u_j' = G u_j + B u_{j-1} for
+    1 <= j <= m: one block-bidiagonal linear system per window.  The
+    source feeds y only in G, in the pieces whose delayed subtraction
+    cancels it.
     """
-    ny, n = pq.plp.shape[0], pq.plp.shape[0] + pq.lam.size
-    g = -1j * np.block([[pq.plp, pq.from_modes],
-                        [pq.into_modes, np.diag(pq.lam)]])
+    ny, nz = pq.plp.shape[0], pq.lam.size
+    n = ny + 2 * nz
+    g0 = np.zeros((n, n), dtype=complex)
+    g0[:ny, :ny] = pq.plp
+    g0[:ny, ny:ny + nz] = pq.from_modes
+    g0[ny:ny + nz, :ny] = pq.into_modes
+    g0[ny:, ny:] = np.kron(np.eye(2), np.diag(pq.lam))
+    g0 *= -1j
+    g = g0.copy()
+    g[:ny, ny + nz:] = -1j * pq.from_modes
     b = np.zeros_like(g)
-    b[:ny, ny:] = 1j * pq.from_modes * np.exp(-1j * pq.lam * window)
+    b[:ny, ny:ny + nz] = 1j * pq.from_modes * np.exp(-1j * pq.lam * window)
 
     def chain(m):
-        return np.kron(np.eye(m + 1), g) + np.kron(np.eye(m + 1, k=-1), b)
+        return block_diag(g0, *[g] * m) + np.kron(np.eye(m + 1, k=-1), b)
 
-    x0 = np.concatenate([y0, np.zeros(pq.lam.size, dtype=complex)])
-    starts = [x0]  # starts[m] = (u_0(0), ..., u_m(0))
+    z0 = pq.seed @ x0
+    v0 = np.concatenate([pq.p @ x0, z0, z0])
+    starts = [v0]  # starts[m] = (u_0(0), ..., u_m(0))
     out = []
     for t in times:
         m = max(int(np.ceil((t - times[0]) / window)) - 1, 0)
         while len(starts) <= m:
             k = len(starts) - 1
             starts.append(np.concatenate(
-                [x0, expm(chain(k) * window) @ starts[k]]))
+                [v0, expm(chain(k) * window) @ starts[k]]))
         s = t - times[0] - m * window
         out.append((expm(chain(m) * s) @ starts[m])[-n:][:ny])
     return np.array(out)
@@ -230,15 +241,15 @@ class TestNakajimaZwanzig:
         pi = eid_projector(2, 2)
         lv = build_liouvillian(h)
         times = np.linspace(0.0, 10.0, 11)
-        nz = evolve_nakajima_zwanzig(rho0, pi, lv, times, relevant_only=False)
+        nz = evolve_nakajima_zwanzig(rho0, pi, lv, times)
         unit = evolve_unitary(rho0, h, times)
         for k in range(len(times)):
             projected = unvec(pi @ vec(unit[k]))
             assert np.max(np.abs(nz[k].matrix - projected)) <= 1e-6
 
     def test_oblique_projector_routes_agree(self):
-        # a non-Hermitian pi: the exact and the inhomogeneous memory-kernel
-        # equations must land on coarse_grain of the unitary evolution
+        # a non-Hermitian pi: the exact and the memory-kernel equations
+        # must land on coarse_grain of the unitary evolution
         rng = np.random.default_rng(40)
         basis = biorthogonalize(
             [np.eye(2, dtype=complex), random_hermitian(rng, 2)],
@@ -252,16 +263,14 @@ class TestNakajimaZwanzig:
         want = [coarse_grain(r, pi).matrix
                 for r in evolve_unitary(rho0, h, times)]
         for got in (evolve_master_exact(rho0, pi, lv, times),
-                    evolve_nakajima_zwanzig(rho0, pi, lv, times,
-                                            relevant_only=False)):
+                    evolve_nakajima_zwanzig(rho0, pi, lv, times)):
             for a, b in zip(got, want):
                 assert np.max(np.abs(a.matrix - b)) <= 1e-8
 
     def test_windowed_route_on_oblique_projector(self):
-        # rho0 = coarse_grain(rho, pi) has Q rho0 = 0, which the windowed
-        # route needs; until the window engages it must land on
-        # coarse_grain of the unitary evolution, and after it on the
-        # closed-form method-of-steps chain
+        # rho0 = coarse_grain(rho, pi) has Q rho0 = 0; until the window
+        # engages the route must land on coarse_grain of the unitary
+        # evolution, and after it on the closed-form method-of-steps chain
         rng = np.random.default_rng(41)
         basis = biorthogonalize(
             [np.eye(2, dtype=complex), random_hermitian(rng, 2)],
@@ -280,27 +289,28 @@ class TestNakajimaZwanzig:
                                                    kernel_window=window)
             want = [coarse_grain(r, pi).matrix
                     for r in evolve_unitary(rho0, h, times)]
-            chain = windowed_chain_reference(pq, pq.p @ vec(rho0), times,
-                                             window)
+            chain = windowed_chain_reference(pq, vec(rho0), times, window)
             for t, a, b, y in zip(times, windowed, want, chain):
                 if t <= window:
                     assert np.max(np.abs(a.matrix - b)) <= 1e-8
                 assert np.max(np.abs(vec(a.matrix) - y)) <= 1e-9
                 assert abs(np.trace(a.matrix) - np.trace(rho0)) <= 1e-10
 
-    def test_dropping_inhomogeneous_term_costs_accuracy(self):
-        # the Q rho0 = 0 assumption is visible when it is false
+    @pytest.mark.parametrize("dim_s, dim_e", [(2, 2), (2, 3), (3, 3)])
+    def test_product_state_matches_unitary_then_project(self, dim_s, dim_e):
+        # rho_S (x) rho_E with a full-rank, non-uniform rho_E: Q rho0 != 0,
+        # and the default route still lands on the projected unitary
         rng = np.random.default_rng(23)
-        h, rho0 = eid_fixture(rng, 2, 2, coupling=1.5)
-        pi = eid_projector(2, 2)
+        h, _ = eid_fixture(rng, dim_s, dim_e)
+        rho0 = np.kron(random_density(rng, dim_s), random_density(rng, dim_e))
+        pi = eid_projector(dim_s, dim_e)
         lv = build_liouvillian(h)
-        times = np.linspace(0.0, 5.0, 6)
-        kept = evolve_nakajima_zwanzig(rho0, pi, lv, times,
-                                       relevant_only=False)
-        dropped = evolve_nakajima_zwanzig(rho0, pi, lv, times)
-        dev = max(np.max(np.abs(a.matrix - b.matrix))
-                  for a, b in zip(kept, dropped))
-        assert dev > 1e-3
+        assert np.linalg.norm(_pq_system(pi, lv).seed @ vec(rho0)) >= 0.3
+        times = np.linspace(0.0, 10.0, 21)
+        nz = evolve_nakajima_zwanzig(rho0, pi, lv, times)
+        for a, r in zip(nz, evolve_unitary(rho0, h, times)):
+            assert np.max(np.abs(a.matrix - coarse_grain(r, pi).matrix)) \
+                <= 1e-8
 
     def test_kernel_at_zero_is_plq_qlp(self):
         rng = np.random.default_rng(24)
@@ -368,14 +378,26 @@ class TestNakajimaZwanzig:
             evolve_nakajima_zwanzig(unvec(pi @ vec(raw)), pi, lv,
                                     [0.0, 5.0, 2.5, 4.0], kernel_window=1.0)
 
-    def test_window_incompatible_with_inhomogeneous(self):
+    def test_windowed_route_carries_the_source(self):
+        # Q rho0 != 0: the source the delayed subtraction cancels is added
+        # back, so the route matches the exact memory route inside the
+        # window and the source-carrying chain at every sample
         rng = np.random.default_rng(27)
         h, rho0 = eid_fixture(rng, 2, 2)
+        pi = eid_projector(2, 2)
         lv = build_liouvillian(h)
-        with pytest.raises(ValueError, match="window"):
-            evolve_nakajima_zwanzig(rho0, eid_projector(2, 2), lv,
-                                    [0.0, 5.0], kernel_window=1.0,
-                                    relevant_only=False)
+        pq = _pq_system(pi, lv)
+        assert np.linalg.norm(pq.seed @ vec(rho0)) >= 0.3
+        window, times = 2.5, np.linspace(0.0, 6.0, 13)
+        with pytest.warns(RuntimeWarning, match="window"):
+            windowed = evolve_nakajima_zwanzig(rho0, pi, lv, times,
+                                               kernel_window=window)
+        memory = evolve_nakajima_zwanzig(rho0, pi, lv, times)
+        chain = windowed_chain_reference(pq, vec(rho0), times, window)
+        for t, a, b, y in zip(times, windowed, memory, chain):
+            if t <= window:
+                assert np.max(np.abs(a.matrix - b.matrix)) <= 1e-8
+            assert np.max(np.abs(vec(a.matrix) - y)) <= 1e-9
 
     @pytest.mark.parametrize("window", [0.0, -1.0, np.nan])
     def test_nonpositive_window_refused(self, window):

@@ -72,7 +72,7 @@ def test_three_routes_agree(family):
     direct = [coarse_grain(r, pi).matrix
               for r in evolve_unitary(rho0, h, TIMES)]
     exact = evolve_master_exact(rho0, pi, lv, TIMES)
-    nz = evolve_nakajima_zwanzig(rho0, pi, lv, TIMES, relevant_only=False)
+    nz = evolve_nakajima_zwanzig(rho0, pi, lv, TIMES)
     for want, a, b in zip(direct, exact, nz):
         assert np.max(np.abs(a.matrix - want)) <= 1e-8
         assert np.max(np.abs(b.matrix - a.matrix)) <= 1e-6

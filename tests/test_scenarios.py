@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose, assert_array_equal
 
 import decolab
 from decolab.open_system import SpinBathParams, spin_bath_coherence
@@ -324,6 +325,28 @@ class TestSidRunner:
         result = run_scenario(cfg, tmp_path / "out")
         assert result.summary["t_D"] is not None
         assert result.summary["t_D"] > 0
+
+    def test_lorentzian_run_kernel_is_the_documented_formula(
+            self, tmp_path, monkeypatch):
+        seen, build = [], decolab.scenarios.sid_scenario
+
+        def spy(grid, kernel, *rest):
+            seen.append((grid, kernel))
+            return build(grid, kernel, *rest)
+
+        monkeypatch.setattr(decolab.scenarios, "sid_scenario", spy)
+        text = SID_CONFIG.replace("n = 200", "n = 120\nfamily = lorentzian\n"
+                                  "center = 4.5\nwidth = 1.1\n"
+                                  "cross_width = 0.7")
+        run_scenario(parse_config(write_config(tmp_path, text)),
+                     tmp_path / "out")
+        [(grid, kernel)] = seen
+        assert_array_equal(grid.omega, np.linspace(0.0, 10.0, 120))
+        mean = 0.5 * np.add.outer(grid.omega, grid.omega)
+        delta = np.subtract.outer(grid.omega, grid.omega)
+        want = np.exp(-(mean - 4.5) ** 2 / (2 * 1.1 ** 2)) \
+            / (1 + (delta / 0.7) ** 2)
+        assert_allclose(kernel, want, rtol=1e-14, atol=0)
 
     def test_table_family_round_trips_a_measured_kernel(self, tmp_path):
         n, omega_max = 24, 10.0
