@@ -1,5 +1,6 @@
 """Kernel pairing, weak limits, projector, measurement rebuild, tables."""
 
+import copy
 import warnings
 
 import numpy as np
@@ -38,6 +39,30 @@ def uniform_state(grid):
     diag = np.ones(grid.size)
     diag /= float(np.sum(grid.weights * diag))
     return VanHoveState(grid, diag)
+
+
+def random_hermitian(rng, n):
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return 0.5 * (a + a.conj().T)
+
+
+@pytest.fixture(scope="module")
+def complex_pair():
+    """Independent random complex Hermitian kernels on a 120-point grid."""
+    rng = np.random.default_rng(11)
+    g = EnergyGrid.uniform(0.0, 10.0, 120)
+    diag = np.exp(-(g.omega - 5.0) ** 2)
+    diag /= float(np.sum(g.weights * diag))
+    state = VanHoveState(g, diag, random_hermitian(rng, g.size))
+    obs = VanHoveObservable(g, rng.normal(size=g.size),
+                            random_hermitian(rng, g.size))
+    return state, obs
+
+
+def cross_kernel(state, obs):
+    """rho(w_i, w_j) O(w_j, w_i) with the quadrature weights folded in."""
+    q = state.grid.weights
+    return state.offdiag * obs.offdiag.T * np.outer(q, q)
 
 
 class TestEnergyGrid:
@@ -81,6 +106,11 @@ class TestEnergyGrid:
         with pytest.raises(ValueError, match="positive"):
             EnergyGrid(np.array([0.0, 1.0]), weights=np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(ValueError, match="finite and positive"):
+            EnergyGrid(np.array([0.0, 1.0]), weights=np.array([1.0, bad]))
+
     def test_recurrence_window(self):
         g = EnergyGrid.uniform(0.0, 10.0, 401)
         assert_allclose(g.recurrence_window(), 2 * np.pi / 0.025)
@@ -96,6 +126,16 @@ class TestTypeInvariants:
         g = EnergyGrid.uniform(0.0, 1.0, 5)
         with pytest.raises(ValueError, match="expected 1"):
             VanHoveState(g, 2.0 * np.ones(5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_state_rejects_non_finite_norm(self, bad):
+        # weights swapped in behind the grid's own check: the state must
+        # still refuse the quadrature they give
+        g = EnergyGrid.uniform(0.0, 1.0, 5)
+        object.__setattr__(g, "weights",
+                           np.array([0.125, 0.25, bad, 0.25, 0.125]))
+        with pytest.raises(ValueError, match="expected 1"):
+            VanHoveState(g, np.ones(5))
 
     def test_state_rejects_non_hermitian_kernel(self):
         g = EnergyGrid.uniform(0.0, 1.0, 3)
@@ -175,6 +215,34 @@ class TestExpectation:
         assert residues.shape == (2,)
         assert np.max(residues) <= 1e-10
 
+    def test_non_hermitian_kernels_give_the_plain_complex_sum(
+            self, complex_pair):
+        # a kernel swapped in behind the Hermiticity check: with no
+        # symmetry left the value and the residue are still the real part
+        # and the modulus of the imaginary part of the complex double sum
+        state, obs = complex_pair
+        state = copy.copy(state)
+        rng = np.random.default_rng(13)
+        n = state.grid.size
+        object.__setattr__(state, "offdiag", rng.normal(size=(n, n))
+                           + 1j * rng.normal(size=(n, n)))
+        ts = np.array([0.0, 0.8, 3.3])
+        phase = np.exp(-1j * np.multiply.outer(ts, state.grid.omega))
+        plain = sid_limit(state, obs) + np.einsum(
+            "ti,ij,tj->t", phase, cross_kernel(state, obs), phase.conj())
+        got, residues = expectation_sid(state, obs, ts, with_residue=True)
+        assert np.min(np.abs(plain.imag)) > 0.1
+        assert_allclose(got, plain.real, rtol=0, atol=1e-12)
+        assert_allclose(residues, np.abs(plain.imag), rtol=0, atol=1e-12)
+
+    def test_imaginary_residue_small_on_a_complex_cross_kernel(
+            self, complex_pair):
+        state, obs = complex_pair
+        assert np.any(cross_kernel(state, obs).imag)
+        _, residues = expectation_sid(state, obs, np.linspace(0.0, 30.0, 16),
+                                      with_residue=True)
+        assert np.max(residues) <= 1e-10
+
     def test_grid_mismatch_rejected(self, gaussian):
         state, _ = gaussian
         other = VanHoveObservable(EnergyGrid.uniform(0.0, 2.0, 10), np.ones(10))
@@ -243,6 +311,15 @@ class TestEnergy:
         g = EnergyGrid.uniform(0.0, 1.0, 200)
         assert_allclose(sid_limit(uniform_state(g), hamiltonian_observable(g)),
                         0.5, atol=1e-12)
+
+    def test_hamiltonian_pairing_is_exactly_the_limit(self, gaussian):
+        # H has no regular kernel: both parts of the cross kernel are
+        # skipped and every sample is the diagonal quadrature itself
+        state, _ = gaussian
+        h = hamiltonian_observable(state.grid)
+        ts = np.linspace(0.0, 100.0, 64)
+        assert np.array_equal(expectation_sid(state, h, ts),
+                              np.full(ts.shape, sid_limit(state, h)))
 
     def test_constancy_over_time_sweep(self, gaussian):
         state, _ = gaussian
@@ -386,6 +463,39 @@ class TestDiscretizedOracle:
             want = discretized_unitary_oracle(state, obs, t)
             assert abs(expectation_sid(state, obs, t) - want) <= 1e-8
             assert abs(batched - want) <= 1e-8
+
+    def test_matches_oracle_on_independent_complex_kernels(
+            self, complex_pair):
+        # the product of the two kernels is complex, so a pairing that ran
+        # time backwards would be off by O(1)
+        state, obs = complex_pair
+        ts = np.array([0.0, 0.4, 1.3, 2.9, 7.0])
+        want = np.array([discretized_unitary_oracle(state, obs, t)
+                         for t in ts])
+        backwards = np.array([discretized_unitary_oracle(state, obs, -t)
+                              for t in ts])
+        assert np.max(np.abs(want - backwards)) > 0.1
+        assert np.max(np.abs(expectation_sid(state, obs, ts) - want)) <= 1e-12
+        for t, w in zip(ts, want):
+            assert abs(expectation_sid(state, obs, t) - w) <= 1e-12
+
+    def test_matches_oracle_with_a_zero_real_cross_kernel(self):
+        # an imaginary antisymmetric state kernel against a real symmetric
+        # observable kernel: the real part of the cross kernel is exactly
+        # zero and only the imaginary part is summed
+        rng = np.random.default_rng(12)
+        g = EnergyGrid.uniform(0.0, 10.0, 90)
+        a = rng.normal(size=(g.size, g.size))
+        state = VanHoveState(g, uniform_state(g).diag, 1j * (a - a.T))
+        obs = VanHoveObservable(g, g.omega.copy(), a + a.T)
+        cross = cross_kernel(state, obs)
+        assert not np.any(cross.real) and np.any(cross.imag)
+        ts = np.array([0.0, 0.6, 2.2, 5.0])
+        got, residues = expectation_sid(state, obs, ts, with_residue=True)
+        want = [discretized_unitary_oracle(state, obs, t) for t in ts]
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.max(np.abs(got[1:] - got[0])) > 0.1
+        assert np.max(residues) <= 1e-10
 
     def test_t0_plain_quadrature(self, gaussian):
         state, obs = gaussian

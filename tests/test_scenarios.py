@@ -69,6 +69,30 @@ samples = 100
 n = 200
 """
 
+def table_config(tmp_path, n, tilt=0.0):
+    """A ``family = table`` config on n points of [0, 10] and its kernel CSV.
+
+    The kernel is 0.25 times the stock gaussian kernel (center 5, width
+    1.2, cross width 0.5) times the phase e^{i tilt (w - w')}, which keeps
+    it Hermitian.
+    """
+    omega = np.linspace(0.0, 10.0, n)
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            mean = 0.5 * (omega[i] + omega[j])
+            diff = omega[i] - omega[j]
+            val = 0.25 * math.exp(-((mean - 5.0) ** 2) / (2 * 1.2 ** 2)) \
+                * math.exp(-(diff ** 2) / (4 * 0.5 ** 2))
+            re, im = val * math.cos(tilt * diff), val * math.sin(tilt * diff)
+            rows.append(
+                f"{float(omega[i])!r},{float(omega[j])!r},{re!r},{im!r}")
+    kernel_csv = tmp_path / "kernel.csv"
+    kernel_csv.write_text("\n".join(rows) + "\n")
+    return SID_CONFIG.replace(
+        "n = 200", f"n = {n}\nfamily = table\nkernel_csv = {kernel_csv}")
+
+
 TOY_CONFIG = """
 [scenario]
 kind = master-eq-toy
@@ -349,22 +373,7 @@ class TestSidRunner:
         assert_allclose(kernel, want, rtol=1e-14, atol=0)
 
     def test_table_family_round_trips_a_measured_kernel(self, tmp_path):
-        n, omega_max = 24, 10.0
-        omega = np.linspace(0.0, omega_max, n)
-        rows = []
-        for i in range(n):
-            for j in range(n):
-                mean = 0.5 * (omega[i] + omega[j])
-                diff = omega[i] - omega[j]
-                val = 0.25 * math.exp(-((mean - 5.0) ** 2) / (2 * 1.2 ** 2)) \
-                    * math.exp(-(diff ** 2) / (4 * 0.5 ** 2))
-                rows.append(
-                    f"{float(omega[i])!r},{float(omega[j])!r},{val!r},0.0")
-        kernel_csv = tmp_path / "kernel.csv"
-        kernel_csv.write_text("\n".join(rows) + "\n")
-        text = SID_CONFIG.replace(
-            "n = 200",
-            f"n = {n}\nfamily = table\nkernel_csv = {kernel_csv}")
+        text = table_config(tmp_path, n=24)
         cfg = parse_config(write_config(tmp_path, text))
         result = run_scenario(cfg, tmp_path / "out")
         assert "expectation" in result.series.channels
@@ -382,6 +391,11 @@ class TestSidRunner:
         # to sum differently from a one-thread one (200 and 400 were not)
         assert_one_blas_thread_writes_same_bytes(tmp_path, SID_CONFIG.replace(
             "n = 200", "n = 300\nfamily = lorentzian"))
+
+    def test_one_blas_thread_writes_same_bytes_for_a_complex_table(
+            self, tmp_path):
+        assert_one_blas_thread_writes_same_bytes(
+            tmp_path, table_config(tmp_path, n=150, tilt=0.8))
 
 
 class TestToyRunner:
