@@ -23,6 +23,9 @@ The module also carries a small dissipative generator (not of
 commutator form) whose coherence-decay and population-relaxation rates
 are set independently, for exercising decoherence-vs-relaxation time
 ordering; nothing in the projection machinery depends on it.
+
+No CLI subcommand integrates, so scipy is imported only inside
+``solve_ivp``; any later scipy-backed route defers its import the same way.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .liouville import (
     CoarseState,
@@ -54,6 +56,7 @@ __all__ = [
     "memory_kernel",
     "evolve_linear_generator",
     "dissipative_toy",
+    "solve_ivp",
 ]
 
 # DOP853 tolerances of the exact and memory-kernel integrations
@@ -126,6 +129,13 @@ def defect(pi, liouville):
 def _coarse_states(columns):
     """One :class:`CoarseState` per column of vectorized states."""
     return [CoarseState(unvec(col)) for col in columns.T]
+
+
+def solve_ivp(fun, t_span, y0, **options):
+    """``scipy.integrate.solve_ivp``, imported on first call: the import
+    costs more than all of ``decolab.cli``, which never integrates."""
+    from scipy.integrate import solve_ivp as integrate
+    return integrate(fun, t_span, y0, **options)
 
 
 def _integrate_complex(rhs, y0, t_span, t_eval, dense_output=False):

@@ -1,10 +1,15 @@
 """The decolab command line: run, fit, compare, oracle."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import decolab
 from decolab.cli import main
 
 TOY_CONFIG = """
@@ -29,6 +34,18 @@ n = 150
 """
 
 
+EID_CONFIG = """
+[scenario]
+kind = eid-spin-bath
+name = bath
+t_max = 8.0
+samples = 100
+
+[eid-spin-bath]
+n_spins = 5
+"""
+
+
 def write(tmp_path, text, name):
     path = tmp_path / name
     path.write_text(text)
@@ -47,11 +64,7 @@ class TestRunCommand:
         assert summary["t_D"] < summary["t_R"]
 
     def test_seed_flag_overrides_config(self, tmp_path, capsys):
-        eid = TOY_CONFIG.replace("master-eq-toy", "eid-spin-bath") \
-            .replace("name = toy", "name = bath") \
-            .replace("t_max = 40.0", "t_max = 8.0")
-        eid += "n_spins = 5\n"
-        cfg = write(tmp_path, eid, "bath.ini")
+        cfg = write(tmp_path, EID_CONFIG, "bath.ini")
         main(["run", "--config", cfg, "--out", str(tmp_path / "a"),
               "--seed", "1"])
         main(["run", "--config", cfg, "--out", str(tmp_path / "b"),
@@ -297,3 +310,45 @@ class TestOracleCommand:
         main(["oracle", "--scenario", "eid-spin-bath", "--seed", "6"])
         second = capsys.readouterr().out
         assert first != second
+
+
+# Every subcommand in one fresh interpreter; then the integrator wrapper,
+# whose first call is the only thing that may import scipy.
+COLD_START = """
+import contextlib, io, json, sys
+from pathlib import Path
+from decolab import master_eq
+from decolab.cli import main
+
+work = Path(sys.argv[1])
+out = work / "reports"
+with contextlib.redirect_stdout(io.StringIO()):
+    for name in ("toy", "kernel", "bath"):
+        assert main(["run", "--config", str(work / f"{name}.ini"),
+                     "--out", str(out)]) == 0
+        assert main(["fit", "--series", str(out / f"{name}.csv")]) == 0
+    assert main(["compare", "--reports", str(out)]) == 0
+    for kind in ("eid-spin-bath", "sid-kernel", "master-eq-toy"):
+        assert main(["oracle", "--scenario", kind]) == 0
+loaded = sorted(m for m in sys.modules
+                if m == "scipy" or m.startswith("scipy."))
+sol = master_eq.solve_ivp(lambda t, y: -y, (0.0, 1.0), [1.0])
+print(json.dumps({"scipy": loaded, "nfev": int(sol.nfev),
+                  "success": bool(sol.success), "y1": float(sol.y[0, -1])}))
+"""
+
+
+def test_no_subcommand_imports_scipy(tmp_path):
+    # a subprocess, because this pytest process has imported scipy already
+    for text, name in ((TOY_CONFIG, "toy"), (SID_CONFIG, "kernel"),
+                       (EID_CONFIG, "bath")):
+        write(tmp_path, text, f"{name}.ini")
+    src = str(Path(decolab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)],
+                         env=dict(os.environ, PYTHONPATH=path), check=True,
+                         timeout=120, capture_output=True, text=True)
+    result = json.loads(run.stdout)
+    assert result["scipy"] == []
+    assert result["success"] and result["nfev"] > 0
+    assert result["y1"] == pytest.approx(np.exp(-1.0), rel=1e-3)

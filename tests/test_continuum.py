@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.special import erfc
 
 from decolab.continuum import (
     ORACLE_GRID_CAP,
@@ -26,6 +27,7 @@ from decolab.continuum import (
     offdiag_contribution,
     sid_limit,
     sid_projector,
+    sid_scenario,
 )
 from decolab.liouville import DimensionMismatchError
 
@@ -256,6 +258,110 @@ class TestExpectation:
         evolved = state.offdiag * np.exp(
             -1j * t * np.subtract.outer(g.omega, g.omega))
         assert np.array_equal(evolved, evolved.conj().T)
+
+
+# The stock sid-kernel pair at the scenario defaults
+BAND, CENTER, WIDTH, AMPLITUDE = 10.0, 5.0, 1.2, 0.25
+
+
+def family_pair(family, n, cross_width):
+    grid = EnergyGrid.uniform(0.0, BAND, n)
+    kernel = family_kernel(grid, family, CENTER, WIDTH, cross_width)
+    return sid_scenario(grid, kernel, CENTER, WIDTH, AMPLITUDE)
+
+
+def band_cut(tail):
+    """What the band [0, BAND]^2 cuts from com(m)^2 h(nu), for even h >= 0.
+
+    The cross kernel of a stock pair is AMPLITUDE com(m)^2 h(nu) in
+    m = (w + w')/2, nu = w - w' (unit Jacobian), with com(m)^2 =
+    exp(-(m - CENTER)^2 / WIDTH^2).  The square is the diamond |nu| <=
+    V(m) = 2 min(m, BAND - m), so it misses the integral of com(m)^2
+    tail(V(m)) over m, where tail(V) is the mass of h outside |nu| <= V
+    (all of it where V <= 0).  com^2 is below e^-144 beyond 12 widths.
+    """
+    m, dm = np.linspace(CENTER - 12 * WIDTH, CENTER + 12 * WIDTH, 200001,
+                        retstep=True)
+    v = 2 * np.clip(np.minimum(m, BAND - m), 0.0, None)
+    return float(np.sum(np.exp(-((m - CENTER) / WIDTH) ** 2) * tail(v)) * dm)
+
+
+class TestEnvelopeOracles:
+    @pytest.mark.parametrize("n", [400, 1000])
+    def test_lorentzian_envelope_within_the_band_cut(self, n):
+        # h(nu) = c^4 / (c^2 + nu^2)^2 is the square of the lorentzian
+        # cross profile; on the whole line its Fourier transform is
+        # F(t) = F0 env(t), env = (1 + ct) e^{-ct}, F0 = AMPLITUDE G pi c / 2
+        # with G = WIDTH sqrt(pi) the mass of com^2.  The pairing is
+        # f(t) = F0 env(t) + e(t), where e = r - E: E(t) is what the band
+        # cuts off, |E(t)| <= E(0) = eps since the integrand is >= 0, and
+        # r is the quadrature error.  So
+        #   |f(t)/f(0) - env(t)| = |e(t) - env(t) e(0)| / f(0)
+        #                        <= (eps + quad) (1 + env(t)) / f(0).
+        # eps does not fall with n: the cut sits at the band edge.  The
+        # integrand is smooth and the grid far finer than 1/c, so quad is
+        # allowed 1e-6 of F0; r(0) is checked against it below.
+        c = 0.5
+        state, obs = family_pair("lorentzian", n, c)
+        t = np.linspace(0.0, 6.0, 61)
+        f = offdiag_contribution(state, obs, t)
+        env = (1 + c * t) * np.exp(-c * t)
+
+        def tail(v):
+            x = v / c
+            return c * (np.pi / 2 - np.arctan(x) - x / (1 + x * x))
+
+        f0_line = AMPLITUDE * WIDTH * np.sqrt(np.pi) * np.pi * c / 2
+        eps = AMPLITUDE * band_cut(tail)
+        quad = 1e-6 * f0_line
+        assert abs(f[0] - (f0_line - eps)) <= quad
+        assert np.all(np.abs(f / f[0] - env) <= (eps + quad) * (1 + env) / f[0])
+
+    @pytest.mark.parametrize("family, c", [("gaussian", 0.5),
+                                           ("gaussian", 0.3),
+                                           ("lorentzian", 0.5)])
+    def test_short_time_curvature_is_the_second_moment(self, family, c):
+        # Two routes to t_D's curvature, with no fit: -f''(0)/f(0) by
+        # central differences of the pairing, and the second moment
+        # <nu^2> of the cross kernel C >= 0.  With f(t) = sum C cos(nu t)
+        # and 0 <= cos x - 1 + x^2/2 <= x^4/24 the difference quotient
+        # lies in [<nu^2> - h^2 <nu^4> / 12, <nu^2>], up to roundoff:
+        # each f sums N terms twice, of total size <= 1, so it is within
+        # 2 N eps, and the quotient within 8 N eps / (h^2 f(0)).
+        n, h = 400, 1e-2
+        state, obs = family_pair(family, n, c)
+        cross = cross_kernel(state, obs).real
+        assert cross.min() >= 0
+        nu = np.subtract.outer(state.grid.omega, state.grid.omega)
+        m2 = np.sum(cross * nu ** 2) / np.sum(cross)
+        trunc = h * h * np.sum(cross * nu ** 4) / np.sum(cross) / 12
+        f_minus, f0, f_plus = offdiag_contribution(state, obs, [-h, 0.0, h])
+        curvature = -(f_minus - 2 * f0 + f_plus) / (h * h * f0)
+        roundoff = 8 * n * np.finfo(float).eps / (h * h * f0)
+        assert -roundoff <= m2 - curvature <= trunc + roundoff
+        if family == "lorentzian":
+            # its <nu^2> is c^2 only on the whole line, and the band
+            # cuts the heavy tails (0.2313 against 0.25): no equality
+            return
+
+        # h(nu) = exp(-nu^2 / (2 c^2)) has mass D = G c sqrt(2 pi) and
+        # second moment N = c^2 D on the whole line.  The band cuts
+        # D_out and N_out from them, so
+        #   |<nu^2> - c^2| = |c^2 D_out - N_out| / (D - D_out)
+        #                 <= (c^2 D_out + N_out) / (D - D_out).
+        # The trapezoid error of the moments is allowed 1e-9 (it is
+        # O(delta^2) on an integrand that vanishes at the band edges).
+        def mass_tail(v):
+            return c * np.sqrt(2 * np.pi) * erfc(v / (c * np.sqrt(2)))
+
+        def moment_tail(v):
+            return c * c * (mass_tail(v) + 2 * v * np.exp(-v * v / (2 * c * c)))
+
+        d_line = WIDTH * np.sqrt(np.pi) * c * np.sqrt(2 * np.pi)
+        d_out, n_out = band_cut(mass_tail), band_cut(moment_tail)
+        tail = (c * c * d_out + n_out) / (d_line - d_out) + 1e-9
+        assert abs(m2 - c * c) <= tail
+        assert abs(curvature - c * c) <= tail + trunc + roundoff
 
 
 class TestWeakLimit:
