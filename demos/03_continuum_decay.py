@@ -11,8 +11,8 @@ import numpy as np
 
 from decolab.continuum import (discretized_unitary_oracle, expectation_sid,
                                gaussian_envelope, gaussian_scenario,
-                               hamiltonian_observable, offdiag_contribution,
-                               sid_limit)
+                               hamiltonian_observable, lag_measure,
+                               offdiag_contribution, sid_limit)
 from decolab.fits import detect_weak_limit, fit_decoherence_time
 
 state, obs = gaussian_scenario()
@@ -36,6 +36,12 @@ osc = offdiag_contribution(state, obs, times)
 fit = fit_decoherence_time(times, osc)
 print(f"\nfitted decay: power p = {fit.power}, t_D = {fit.value:.4f} "
       f"(exact gaussian width gives {np.sqrt(2) / 0.5:.4f})")
+
+# fit-free: the curvature -f''(0)/f(0) is the lag measure's second moment
+nu, f = lag_measure(state, obs)
+print(f"second moment <nu^2> of the lag measure: "
+      f"{np.sum(f.real * nu ** 2) / np.sum(f.real):.6f} "
+      f"(cross_width^2 = {0.5 ** 2:.6f})")
 
 ham = hamiltonian_observable(grid)
 energies = expectation_sid(state, ham, np.array([0.0, 25.0, 50.0, 100.0]))

@@ -50,38 +50,41 @@ gamma_relax = 0.2
 """,
 }
 
-workdir = Path(tempfile.mkdtemp(prefix="decolab-demo-"))
-print(f"writing records under {workdir}\n")
+# records go to a temporary directory that is removed on exit
+with tempfile.TemporaryDirectory(prefix="decolab-demo-") as tmp:
+    workdir = Path(tmp)
+    summaries = []
+    for filename, text in CONFIGS.items():
+        path = workdir / filename
+        path.write_text(text)
+        config = parse_config(path)
+        result = run_scenario(config, workdir / "reports")
+        s = result.summary
+        summaries.append(s)
+        t_d = "n/a" if s["t_D"] is None else f"{s['t_D']:.4f}"
+        t_r = "n/a" if s["t_R"] is None else f"{s['t_R']:.4f}"
+        print(f"{s['scenario']:<10} ({s['kind']}):")
+        print(f"   t_D = {t_d}, t_R = {t_r}, "
+              f"weak limit reached at t* = {s['weak_limit_t_star']}")
+        if s["flags"]:
+            for flag in s["flags"]:
+                print(f"   flag: {flag}")
+        print(f"   record: {result.csv_path.name}, {result.json_path.name}")
+        print()
 
-summaries = []
-for filename, text in CONFIGS.items():
-    path = workdir / filename
-    path.write_text(text)
-    config = parse_config(path)
-    result = run_scenario(config, workdir / "reports")
-    s = result.summary
-    summaries.append(s)
-    t_d = "n/a" if s["t_D"] is None else f"{s['t_D']:.4f}"
-    t_r = "n/a" if s["t_R"] is None else f"{s['t_R']:.4f}"
-    print(f"{s['scenario']:<10} ({s['kind']}):")
-    print(f"   t_D = {t_d}, t_R = {t_r}, "
-          f"weak limit reached at t* = {s['weak_limit_t_star']}")
-    if s["flags"]:
-        for flag in s["flags"]:
-            print(f"   flag: {flag}")
-    print(f"   record: {result.csv_path.name}, {result.json_path.name}")
-    print()
+    # -----------------------------------------------------------------------
+    # the cross-formalism table
+    # -----------------------------------------------------------------------
+    report = ordering_report(summaries)
+    print(report.text())
 
-# ---------------------------------------------------------------------------
-# the cross-formalism table
-# ---------------------------------------------------------------------------
-report = ordering_report(summaries)
-print(report.text())
+    comparison = workdir / "reports" / "comparison.json"
+    comparison.write_text(json.dumps(report.as_dict(), indent=2,
+                                     sort_keys=True))
+    print(f"\nwrote {comparison.relative_to(workdir)}")
 
-comparison = workdir / "reports" / "comparison.json"
-comparison.write_text(json.dumps(report.as_dict(), indent=2, sort_keys=True))
-print(f"\nwrote {comparison}")
-print("\nsame thing from the command line:")
-print(f"   decolab run --config {workdir / 'toy.ini'} --out reports/")
+print("\nsame thing from the command line, with toy.ini holding the config "
+      "above:")
+print("   decolab run --config toy.ini --out reports/")
 print("   decolab fit --series reports/toy.csv")
 print("   decolab compare --reports reports/")

@@ -2,18 +2,19 @@
 
 States and observables are kernel pairs over an energy variable: a
 singular diagonal part sampled as O(omega) plus a regular off-diagonal
-function O(omega, omega').  The pairing
+function O(omega, omega').  The pairing is a direct sum of two sectors,
 
-    <O>_rho(t) = int rho(w) O(w) dw
-               + int int rho(w, w') O(w', w) e^{-i(w - w')t} dw dw'
+    <O>_rho(t) = int rho(w) O(w) dw + int f(nu) e^{-i nu t} dnu,
+    f(nu) = int rho(w, w - nu) O(w - nu, w) dw,
 
-is a direct sum of the two sectors; the oscillatory second term dies out
-by Riemann-Lebesgue decay for regular kernels, so every such expectation
-value settles to the diagonal quadrature alone (a weak limit: the state
-kernel itself never converges).  The continuum is replaced by an N-point
-grid with trapezoid weights; all decay claims are windowed below the
-grid recurrence time 2*pi / (min energy gap), which is computed and
-reported rather than assumed away.
+and the second, a Fourier transform in the lag nu = w - w', dies out by
+Riemann-Lebesgue decay for regular kernels: every such expectation value
+settles to the diagonal quadrature alone (a weak limit: the state kernel
+itself never converges).  On the uniform N-point grid with trapezoid
+weights that replaces the continuum, f lives on 2N - 1 lags and T times
+cost O(N^2 + T N); other grids are left to discretized_unitary_oracle.
+All decay claims are windowed below the grid recurrence time 2*pi / (min
+energy gap), which is computed and reported rather than assumed away.
 
 Nothing here exchanges energy: evolution touches only the phases of the
 off-diagonal kernel, so diag(rho) is exactly time-invariant.
@@ -38,6 +39,8 @@ __all__ = [
     "GeneralKernelObservable",
     "UntaggedComponentError",
     "expectation_sid",
+    "lag_measure",
+    "phase_sum",
     "offdiag_contribution",
     "sid_limit",
     "hamiltonian_observable",
@@ -236,50 +239,47 @@ def _same_grid(a, b):
         raise DimensionMismatchError("grids differ")
 
 
-def expectation_sid(state, obs, t, with_residue=False):
-    """The pairing <O>_rho(t) at a scalar time or at an array of times.
+def expectation_sid(state, obs, t):
+    """The pairing <O>_rho(t), with the shape of ``t``.
 
-    Diagonal sector: quadrature of rho(w) O(w).  Off-diagonal sector: the
-    double quadrature of C(w, w') = rho(w, w') O(w', w) against the phase
-    e^{-i(w-w')t} that :func:`discretized_unitary_oracle` evolves rho by.
-    It is summed in real arithmetic: with C = A + iB, c = cos(wt),
-    s = sin(wt), even = c_i c_j + s_i s_j and odd = c_i s_j - s_i c_j, the
-    value is A.even - B.odd and the imaginary residue (roundoff for
-    Hermitian kernels, returned with ``with_residue``) is B.even + A.odd;
-    no symmetry of A or B is used.  A nonzero part costs about 2 T N^2
-    real multiply-adds for T times on N points.  An all-zero part is
-    skipped: B for real kernels, both for <H>, which is then exactly
-    :func:`sid_limit`.  The value has the shape of ``t``.  Every sum is an
-    ``np.einsum``, not BLAS, so the bytes do not depend on the BLAS thread
-    count.
+    :func:`sid_limit` plus the real part of :func:`lag_measure`'s phase
+    sum; a zero kernel, as for <H>, gives exactly the limit.
     """
-    diag_part = sid_limit(state, obs)
-    g = state.grid
-    # cross(i, j) = rho(w_i, w_j) O(w_j, w_i) q_i q_j
+    return sid_limit(state, obs) + phase_sum(*lag_measure(state, obs), t).real
+
+
+def lag_measure(state, obs):
+    """The off-diagonal sector as a measure (nu, f) on the lags nu = w - w'.
+
+    On a uniform grid of step delta, C_ij = rho(w_i, w_j) O(w_j, w_i) q_i q_j
+    evolves by e^{-i k delta t} for k = i - j, so it collapses to f_k =
+    sum_{i-j=k} C_ij at nu_k = k delta.  A spacing spread above 1e-12 of
+    the span is refused: :func:`discretized_unitary_oracle` pairs that grid.
+    """
+    _same_grid(state.grid, obs.grid)
+    g, n = state.grid, state.grid.size
+    if np.ptp(np.diff(g.omega)) > 1e-12 * g.span:
+        raise ValueError("the lag measure needs a uniform grid; pair a "
+                         "non-uniform one with discretized_unitary_oracle")
     cross = state.offdiag * obs.offdiag.T * np.outer(g.weights, g.weights)
-    wt = np.multiply.outer(np.asarray(t, dtype=float), g.omega)
-    c, s = np.cos(wt), np.sin(wt)
-    even_a, odd_a = _phase_sums(cross.real, c, s)
-    even_b, odd_b = _phase_sums(cross.imag, c, s)
-    value = diag_part + (even_a - odd_b)
-    if with_residue:
-        return value, np.abs(even_b + odd_a)
-    return value
+    lag = np.subtract.outer(np.arange(n), np.arange(n)).ravel() + (n - 1)
+    f = (np.bincount(lag, cross.real.ravel(), 2 * n - 1)
+         + 1j * np.bincount(lag, cross.imag.ravel(), 2 * n - 1))
+    return np.arange(1 - n, n) * (g.span / (n - 1)), f
 
 
-def _phase_sums(part, c, s):
-    """The even and odd phase sums of one real part of the cross kernel;
-    exact zeros, with no product, when the part is all zero."""
-    if not part.any():
-        zero = np.zeros(c.shape[:-1])
-        return zero, zero
-    # a strided .real / .imag view makes einsum about 3x slower
-    part = np.ascontiguousarray(part)
-    u, v = (np.einsum("...i,ij->...j", x, part) for x in (c, s))
-    dot = "...j,...j->..."
-    even = np.einsum(dot, u, c) + np.einsum(dot, v, s)
-    odd = np.einsum(dot, u, s) - np.einsum(dot, v, c)
-    return even, odd
+def phase_sum(nu, weights, t):
+    """sum_k weights_k e^{-i nu_k t}, with the shape of ``t``, in O(T K).
+
+    Real arithmetic in ``np.einsum``, not BLAS, so the bytes do not
+    depend on the BLAS thread count.
+    """
+    w = np.asarray(weights, dtype=complex)
+    nu_t = np.multiply.outer(np.asarray(t, dtype=float), nu)
+    c, s = np.cos(nu_t), np.sin(nu_t)
+    re = np.einsum("...k,k", c, w.real) + np.einsum("...k,k", s, w.imag)
+    im = np.einsum("...k,k", c, w.imag) - np.einsum("...k,k", s, w.real)
+    return re + 1j * im
 
 
 def offdiag_contribution(state, obs, t):

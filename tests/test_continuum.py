@@ -23,13 +23,16 @@ from decolab.continuum import (
     gaussian_envelope,
     gaussian_scenario,
     hamiltonian_observable,
+    lag_measure,
     load_table_kernel,
     offdiag_contribution,
+    phase_sum,
     sid_limit,
     sid_projector,
     sid_scenario,
 )
 from decolab.liouville import DimensionMismatchError
+from decolab.open_system import SpinBathParams, spin_bath_coherence
 
 
 @pytest.fixture(scope="module")
@@ -210,18 +213,17 @@ class TestExpectation:
 
     def test_imaginary_residue_small(self, gaussian):
         state, obs = gaussian
-        _, residue = expectation_sid(state, obs, 1.7, with_residue=True)
-        assert residue <= 1e-10
-        _, residues = expectation_sid(state, obs, np.array([0.3, 1.7]),
-                                      with_residue=True)
+        measure = lag_measure(state, obs)
+        assert abs(phase_sum(*measure, 1.7).imag) <= 1e-10
+        residues = phase_sum(*measure, np.array([0.3, 1.7])).imag
         assert residues.shape == (2,)
-        assert np.max(residues) <= 1e-10
+        assert np.max(np.abs(residues)) <= 1e-10
 
     def test_non_hermitian_kernels_give_the_plain_complex_sum(
             self, complex_pair):
         # a kernel swapped in behind the Hermiticity check: with no
-        # symmetry left the value and the residue are still the real part
-        # and the modulus of the imaginary part of the complex double sum
+        # symmetry left the value and the residue are still the real and
+        # the imaginary part of the complex double sum
         state, obs = complex_pair
         state = copy.copy(state)
         rng = np.random.default_rng(13)
@@ -232,24 +234,36 @@ class TestExpectation:
         phase = np.exp(-1j * np.multiply.outer(ts, state.grid.omega))
         plain = sid_limit(state, obs) + np.einsum(
             "ti,ij,tj->t", phase, cross_kernel(state, obs), phase.conj())
-        got, residues = expectation_sid(state, obs, ts, with_residue=True)
+        got = expectation_sid(state, obs, ts)
+        residues = phase_sum(*lag_measure(state, obs), ts).imag
         assert np.min(np.abs(plain.imag)) > 0.1
         assert_allclose(got, plain.real, rtol=0, atol=1e-12)
-        assert_allclose(residues, np.abs(plain.imag), rtol=0, atol=1e-12)
+        assert_allclose(residues, plain.imag, rtol=0, atol=1e-12)
 
     def test_imaginary_residue_small_on_a_complex_cross_kernel(
             self, complex_pair):
         state, obs = complex_pair
         assert np.any(cross_kernel(state, obs).imag)
-        _, residues = expectation_sid(state, obs, np.linspace(0.0, 30.0, 16),
-                                      with_residue=True)
-        assert np.max(residues) <= 1e-10
+        residues = phase_sum(*lag_measure(state, obs),
+                             np.linspace(0.0, 30.0, 16)).imag
+        assert np.max(np.abs(residues)) <= 1e-10
 
     def test_grid_mismatch_rejected(self, gaussian):
         state, _ = gaussian
         other = VanHoveObservable(EnergyGrid.uniform(0.0, 2.0, 10), np.ones(10))
         with pytest.raises(DimensionMismatchError):
             expectation_sid(state, other, 0.0)
+
+    def test_non_uniform_grid_refused_and_left_to_the_oracle(self):
+        g = EnergyGrid(np.linspace(0.0, 1.0, 30) ** 2)
+        rng = np.random.default_rng(5)
+        state = VanHoveState(g, uniform_state(g).diag,
+                             0.1 * random_hermitian(rng, g.size))
+        obs = VanHoveObservable(g, g.omega.copy(),
+                                random_hermitian(rng, g.size))
+        with pytest.raises(ValueError, match="discretized_unitary_oracle"):
+            expectation_sid(state, obs, 1.0)
+        assert np.isfinite(discretized_unitary_oracle(state, obs, 1.0))
 
     def test_phase_masked_kernel_stays_hermitian(self, gaussian):
         state, _ = gaussian
@@ -323,7 +337,8 @@ class TestEnvelopeOracles:
     def test_short_time_curvature_is_the_second_moment(self, family, c):
         # Two routes to t_D's curvature, with no fit: -f''(0)/f(0) by
         # central differences of the pairing, and the second moment
-        # <nu^2> of the cross kernel C >= 0.  With f(t) = sum C cos(nu t)
+        # <nu^2> of the cross kernel C >= 0, which the lag measure carries
+        # as well.  With f(t) = sum C cos(nu t)
         # and 0 <= cos x - 1 + x^2/2 <= x^4/24 the difference quotient
         # lies in [<nu^2> - h^2 <nu^4> / 12, <nu^2>], up to roundoff:
         # each f sums N terms twice, of total size <= 1, so it is within
@@ -334,6 +349,8 @@ class TestEnvelopeOracles:
         assert cross.min() >= 0
         nu = np.subtract.outer(state.grid.omega, state.grid.omega)
         m2 = np.sum(cross * nu ** 2) / np.sum(cross)
+        lags, f = lag_measure(state, obs)
+        assert abs(np.sum(f.real * lags ** 2) / np.sum(f.real) - m2) <= 1e-12
         trunc = h * h * np.sum(cross * nu ** 4) / np.sum(cross) / 12
         f_minus, f0, f_plus = offdiag_contribution(state, obs, [-h, 0.0, h])
         curvature = -(f_minus - 2 * f0 + f_plus) / (h * h * f0)
@@ -362,6 +379,49 @@ class TestEnvelopeOracles:
         tail = (c * c * d_out + n_out) / (d_line - d_out) + 1e-9
         assert abs(m2 - c * c) <= tail
         assert abs(curvature - c * c) <= tail + trunc + roundoff
+
+
+class TestPhaseSum:
+    def test_matches_the_complex_exponential_sum(self):
+        rng = np.random.default_rng(21)
+        nu = rng.uniform(-20.0, 20.0, 57)
+        weights = rng.normal(size=57) + 1j * rng.normal(size=57)
+        ts = rng.uniform(-5.0, 30.0, (3, 4))
+        direct = np.exp(-1j * np.multiply.outer(ts, nu)) @ weights
+        got = phase_sum(nu, weights, ts)
+        assert got.shape == ts.shape
+        assert np.max(np.abs(got - direct)) <= 1e-12
+        assert abs(phase_sum(nu, weights, ts[0, 0]) - direct[0, 0]) <= 1e-12
+
+    def test_spin_bath_coherence_is_a_pairing_over_a_lag_measure(self):
+        # prod_k [cos(g_k t) - i cos(theta_k) sin(g_k t)] is the
+        # characteristic function of Omega = sum_k s_k g_k, s_k = +1 with
+        # probability cos^2(theta_k / 2): the EID coherence is a phase sum
+        # over the distribution of Omega, weighted by a conj(b)
+        rng = np.random.default_rng(17)
+        n = 8
+        g = rng.uniform(0.1, 1.5, n)
+        theta = rng.uniform(0.0, np.pi, n)
+        amp = rng.normal(size=2) + 1j * rng.normal(size=2)
+        amp /= np.linalg.norm(amp)
+        params = SpinBathParams(tuple(g), tuple(theta), amp[0], amp[1])
+        signs = 1 - 2 * ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1)
+        weights = np.prod(np.where(signs > 0, np.cos(theta / 2) ** 2,
+                                   np.sin(theta / 2) ** 2), axis=1)
+        ts = np.linspace(0.0, 12.0, 97)
+        got = phase_sum(signs @ g, amp[0] * np.conj(amp[1]) * weights, ts)
+        assert np.max(np.abs(got - spin_bath_coherence(params, ts))) <= 1e-12
+
+    def test_largest_accepted_grid(self):
+        # n = 2000 is the largest sid-kernel grid a config may ask for
+        state, obs = family_pair("gaussian", 2000, 0.5)
+        ts = np.linspace(0.0, 4.0, 41)
+        f = offdiag_contribution(state, obs, ts)
+        exact = f[0] * gaussian_envelope(ts)
+        assert np.all(np.abs(f - exact) <= 1e-4 * np.abs(exact))
+        h = hamiltonian_observable(state.grid)
+        assert np.array_equal(expectation_sid(state, h, ts),
+                              np.full(ts.shape, sid_limit(state, h)))
 
 
 class TestWeakLimit:
@@ -419,8 +479,8 @@ class TestEnergy:
                         0.5, atol=1e-12)
 
     def test_hamiltonian_pairing_is_exactly_the_limit(self, gaussian):
-        # H has no regular kernel: both parts of the cross kernel are
-        # skipped and every sample is the diagonal quadrature itself
+        # H has no regular kernel: its lag measure is exactly zero and
+        # every sample is the diagonal quadrature itself
         state, _ = gaussian
         h = hamiltonian_observable(state.grid)
         ts = np.linspace(0.0, 100.0, 64)
@@ -597,11 +657,12 @@ class TestDiscretizedOracle:
         cross = cross_kernel(state, obs)
         assert not np.any(cross.real) and np.any(cross.imag)
         ts = np.array([0.0, 0.6, 2.2, 5.0])
-        got, residues = expectation_sid(state, obs, ts, with_residue=True)
+        got = expectation_sid(state, obs, ts)
+        residues = phase_sum(*lag_measure(state, obs), ts).imag
         want = [discretized_unitary_oracle(state, obs, t) for t in ts]
         assert np.max(np.abs(got - want)) <= 1e-12
         assert np.max(np.abs(got[1:] - got[0])) > 0.1
-        assert np.max(residues) <= 1e-10
+        assert np.max(np.abs(residues)) <= 1e-10
 
     def test_t0_plain_quadrature(self, gaussian):
         state, obs = gaussian
