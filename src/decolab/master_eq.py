@@ -12,20 +12,23 @@ Q = 1 - P and y = P|rho),
     i dy/dt = PLP y + PLQ e^{-iQLQ t} Q|rho_0)
               - i int_0^t PLQ e^{-iQLQ(t-s)} QLP y(s) ds.
 
-Both forms are integrated here and cross-validated against the oracle
-``coarse_grain`` of the exactly evolved state.  The convolution is realized
-by auxiliary memory modes (the eigenmodes of QLQ on range(Q)), which
-reproduces the memory integral exactly rather than by kernel sampling;
-an optional finite memory window truncates the integral explicitly and
-says so.
+Both forms are linear with constant coefficients and are solved here in
+closed form, then cross-validated against the oracle ``coarse_grain`` of
+the exactly evolved state.  The convolution is realized by auxiliary
+memory modes (the eigenmodes of QLQ on range(Q)), which reproduces the
+memory integral exactly rather than by kernel sampling; an optional
+finite memory window truncates the integral explicitly and says so.
+That windowed delay equation is the one route integrated numerically
+(DOP853).
 
 The module also carries a small dissipative generator (not of
 commutator form) whose coherence-decay and population-relaxation rates
 are set independently, for exercising decoherence-vs-relaxation time
 ordering; nothing in the projection machinery depends on it.
 
-No CLI subcommand integrates, so scipy is imported only inside
-``solve_ivp``; any later scipy-backed route defers its import the same way.
+Only the windowed route integrates, and no CLI subcommand reaches it, so
+scipy is imported only inside ``solve_ivp``; any later scipy-backed route
+defers its import the same way.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ __all__ = [
     "solve_ivp",
 ]
 
-# DOP853 tolerances of the exact and memory-kernel integrations
+# DOP853 tolerances of the windowed memory-kernel integration
 RTOL = 1e-10
 ATOL = 1e-12
 # Hermiticity and identity-annihilation tolerance of a Liouvillian
@@ -131,6 +134,14 @@ def _coarse_states(columns):
     return [CoarseState(unvec(col)) for col in columns.T]
 
 
+def _propagate(g, v0, times):
+    """e^{g t} v0 for a diagonalizable g, shape np.shape(times) + v0.shape."""
+    lam, smat = np.linalg.eig(g)
+    coeff = np.linalg.solve(smat, v0)
+    # one stacked mat-vec per time: smat @ (e^{lam t} * coeff)
+    return (smat @ (np.exp(lam * times[..., None]) * coeff)[..., None])[..., 0]
+
+
 def solve_ivp(fun, t_span, y0, **options):
     """``scipy.integrate.solve_ivp``, imported on first call: the import
     costs more than all of ``decolab.cli``, which never integrates."""
@@ -148,31 +159,42 @@ def _integrate_complex(rhs, y0, t_span, t_eval, dense_output=False):
 
 
 def evolve_master_exact(rho0, pi, liouville, times):
-    """Integrate i d|rho_G)/dt = L|rho_G) + N|rho(t)), N = PL - LP.
+    """Solve i d|rho_G)/dt = L|rho_G) + N|rho(t)), N = PL - LP.
 
-    The feedback term uses |rho(t)) from the exact unitary group
-    e^{-iLt} (eigendecomposition of the Hermitian L); the projected
-    equation itself is integrated numerically, so agreement with
-    coarse_grain(rho(t), pi) is a consistency check, not a tautology.
-    Returns a list of :class:`CoarseState`.
+    From |rho_G(t0)) = P|rho_0), with the feedback |rho(t)) = e^{-iLt}|rho_0)
+    at absolute t.  Duhamel's formula in the eigenbasis L = V E V^dag
+    gives, with M = V^dag N V and x = V^dag|rho_0),
+
+        y_k(t) = e^{-iE_k t} [e^{iE_k t0} (V^dag P|rho_0))_k
+                 - i sum_j M_kj x_j (Phi_kj(t) - Phi_kj(t0))],
+        Phi_kj(t) = t e^{i D t/2} sinc(D t/2pi),   D = E_k - E_j,
+
+    exact at D = 0 with no threshold.  The defect N stays the source and
+    P e^{-iLt} is never formed, so agreement with coarse_grain(rho(t), pi)
+    is a consistency check, not a tautology.  Returns a list of
+    :class:`CoarseState`.
     """
     p = state_map(np.asarray(pi, dtype=complex))
-    lm = liouville.superop
     n = defect(p, liouville)
     x0 = vec(np.asarray(rho0, dtype=complex))
     if p.shape[0] != x0.size:
         raise DimensionMismatchError("projector does not match state dimension")
-    evals, vmat = np.linalg.eigh(lm)
-    x0_eig = vmat.conj().T @ x0
-    n_eig = n @ vmat  # feed eigen-coordinates straight into N
+    evals, vmat = np.linalg.eigh(liouville.superop)
+    source = (vmat.conj().T @ n @ vmat) * (vmat.conj().T @ x0)
+    gaps = np.subtract.outer(evals, evals)
 
-    def rhs(t, y):
-        x_t = n_eig @ (np.exp(-1j * evals * t) * x0_eig)
-        return -1j * (lm @ y + x_t)
+    def phi(t):
+        return t * np.exp(0.5j * gaps * t) * np.sinc(gaps * (t / (2 * np.pi)))
 
     times = np.asarray(times, dtype=float)
-    return _coarse_states(
-        _integrate_complex(rhs, p @ x0, (times[0], times[-1]), times).y)
+    t0 = times[0]
+    start = np.exp(1j * evals * t0) * (vmat.conj().T @ (p @ x0))
+    phi0 = phi(t0)
+    # one sample at a time: O(d^4) memory rather than O(T d^4)
+    ys = [np.exp(-1j * evals * t)
+          * (start - 1j * np.sum(source * (phi(t) - phi0), axis=1))
+          for t in times]
+    return _coarse_states(vmat @ np.array(ys).T)
 
 
 # ---------------------------------------------------------------------------
@@ -248,16 +270,19 @@ def evolve_nakajima_zwanzig(rho0, pi, liouville, times, kernel_window=None):
     obeys a local linear system whose y-component reproduces the
     convolution equation.  Q|rho_0) seeds the modes, which is exactly
     the inhomogeneous term, so the equation is exact for every initial
-    state.
+    state.  That system is autonomous and diagonalizable, so (y, z) is
+    propagated in closed form from its eigendecomposition.
 
     A finite ``kernel_window`` w replaces the integral over [0, t] by
     [t - w, t]: y is driven by z(t) - e^{-iQLQ w} z(t - w), plus the
     source e^{-iQLQ (t - t0)} Q|rho_0) that this subtraction cancels.
-    The delay equation is solved by the method of steps: one integration
-    per window, reading z(t - w) from the previous window's dense output.
-    If w is shorter than the requested horizon a truncation warning with
-    a crude bound estimate is emitted.  The windowed path requires
-    strictly increasing times; a window that is not positive is refused.
+    The delay equation is integrated (DOP853) by the method of steps: one
+    integration per window, reading z(t - w) from the previous window's
+    dense output.  A window at least the horizon long truncates nothing
+    and takes the closed form.  If w is shorter than the requested
+    horizon a truncation warning with a crude bound estimate is emitted.
+    The windowed path requires strictly increasing times; a window that
+    is not positive is refused.
     """
     if kernel_window is not None and not kernel_window > 0:
         # written as "not > 0" so that a NaN window is refused too
@@ -272,26 +297,31 @@ def evolve_nakajima_zwanzig(rho0, pi, liouville, times, kernel_window=None):
     z0 = pq.seed @ x0
     t0, t1 = float(times[0]), float(times[-1])
     horizon = t1 - t0
-    edges = [t0, t1]
+    if kernel_window is None or kernel_window >= horizon:
+        # one autonomous linear system: L on range(P) (+) range(Q) in the
+        # coordinates (y, z), plus zeros on ker P, so it diagonalizes
+        g = -1j * np.block([[pq.plp, pq.from_modes],
+                            [pq.into_modes, np.diag(pq.lam)]])
+        yz = _propagate(g, np.concatenate([y0, z0]), times - t0)
+        return _coarse_states(yz[:, :y0.size].T)
 
-    if kernel_window is not None and kernel_window < horizon:
-        # crude tail bound: |e^{-iQLQ tau}| stays O(1) on a real spectrum,
-        # so nothing decays by itself and the dropped history is bounded
-        # only by its duration times the coupling strengths
-        drop = (np.linalg.norm(pq.from_modes, 2)
-                * np.linalg.norm(pq.into_modes, 2) * (horizon - kernel_window))
-        warnings.warn(
-            f"memory window {kernel_window} is shorter than the horizon "
-            f"{horizon}; dropped-tail bound ~ {drop:.3e} * sup|y|",
-            RuntimeWarning, stacklevel=2)
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("sample times must be strictly increasing")
-        decay = np.exp(-1j * pq.lam * kernel_window)
-        # segment k spans [t0 + k w, t0 + (k + 1) w], cut at t1; edges from
-        # the integer k, so a horizon of whole windows adds no sliver at t1
-        edges = [t0 + k * kernel_window
-                 for k in range(int(horizon // kernel_window) + 1)
-                 if t0 + k * kernel_window < t1] + [t1]
+    # crude tail bound: |e^{-iQLQ tau}| stays O(1) on a real spectrum,
+    # so nothing decays by itself and the dropped history is bounded
+    # only by its duration times the coupling strengths
+    drop = (np.linalg.norm(pq.from_modes, 2)
+            * np.linalg.norm(pq.into_modes, 2) * (horizon - kernel_window))
+    warnings.warn(
+        f"memory window {kernel_window} is shorter than the horizon "
+        f"{horizon}; dropped-tail bound ~ {drop:.3e} * sup|y|",
+        RuntimeWarning, stacklevel=2)
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("sample times must be strictly increasing")
+    decay = np.exp(-1j * pq.lam * kernel_window)
+    # segment k spans [t0 + k w, t0 + (k + 1) w], cut at t1; edges from
+    # the integer k, so a horizon of whole windows adds no sliver at t1
+    edges = [t0 + k * kernel_window
+             for k in range(int(horizon // kernel_window) + 1)
+             if t0 + k * kernel_window < t1] + [t1]
 
     # a sample on an edge is read from the segment that ends there
     chunks = np.split(times, np.searchsorted(times, edges[1:-1], side="right"))
@@ -376,10 +406,7 @@ def evolve_linear_generator(generator, rho0, times):
         raise DimensionMismatchError(
             f"generator shape {g.shape} vs state length {x0.size}"
         )
-    lam, smat = np.linalg.eig(g)
-    coeff = np.linalg.solve(smat, x0)
     times = np.asarray(times, dtype=float)
-    # one stacked mat-vec per time: smat @ (e^{lam t} * coeff)
-    x = smat @ (np.exp(lam * times[..., None]) * coeff)[..., None]
     d = rho0.shape[0]
-    return x.reshape(times.shape + (d, d)).swapaxes(-1, -2)
+    return _propagate(g, x0, times).reshape(
+        times.shape + (d, d)).swapaxes(-1, -2)

@@ -310,8 +310,9 @@ def _run_sid(config):
 
     times = np.linspace(0.0, config.t_max, config.samples)
     expect = expectation_sid(state, obs, times)
-    h = hamiltonian_observable(state.grid)
-    energy = expectation_sid(state, h, times)
+    # H has no regular kernel, so its pairing is sid_limit at every time
+    e_h = sid_limit(state, hamiltonian_observable(state.grid))
+    energy = np.full(times.shape, e_h)
     series = TimeSeries(times=times, channels={
         "expectation": expect,
         "offdiag_contrib": expect - sid_limit(state, obs),
@@ -321,7 +322,7 @@ def _run_sid(config):
     # the closed route has no dissipation channel: <H> is a constant of
     # motion and the populations never move, so t_R must come out n/a
     summary = _summary(config, times, series.channels["offdiag_contrib"],
-                       energy - sid_limit(state, h), {"expectation": expect},
+                       energy - e_h, {"expectation": expect},
                        "expectation", state.grid.recurrence_window())
     return series, summary
 

@@ -1,6 +1,11 @@
 """Projected Liouville equation, P/Q memory route, dissipative toy."""
 
+import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,12 +13,15 @@ from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 from scipy.linalg import block_diag, expm
 
+import decolab
+from decolab import master_eq
 from decolab.liouville import (
     DimensionMismatchError,
     biorthogonalize,
     build_projector,
     coarse_grain,
     diagonal_projector,
+    state_map,
     vec,
     unvec,
 )
@@ -150,6 +158,49 @@ def windowed_chain_reference(pq, x0, times, window):
     return np.array(out)
 
 
+def oblique_projector(rng):
+    """A non-Hermitian projector on a qubit: identity plus one random
+    Hermitian direction, paired with two random states."""
+    basis = biorthogonalize(
+        [np.eye(2, dtype=complex), random_hermitian(rng, 2)],
+        [random_density(rng, 2), random_density(rng, 2)])
+    pi = build_projector(basis)
+    assert np.max(np.abs(pi - pi.conj().T)) > 0.1
+    return pi
+
+
+def dop853_routes(rho0, pi, lv, times):
+    """P|rho(t)) from both projected equations integrated by DOP853.
+
+    The exact equation i y' = L y + N e^{-iLt}|rho_0) and the memory
+    system i (y, z)' = [[PLP, from], [into, diag lam]] (y, z), both from
+    y(t0) = P|rho_0), at rtol 1e-10 and atol 1e-12: the numerical
+    reference for the closed forms.  Returns (exact, memory), each of
+    shape (len(times), d^2).
+    """
+    p = state_map(pi)
+    lm = lv.superop
+    x0 = vec(np.asarray(rho0, dtype=complex))
+    n = p @ lm - lm @ p
+    evals, vmat = np.linalg.eigh(lm)
+    x0_eig = vmat.conj().T @ x0
+    pq = _pq_system(pi, lv)
+    g = np.block([[pq.plp, pq.from_modes], [pq.into_modes, np.diag(pq.lam)]])
+    t_span = (times[0], times[-1])
+
+    def integrate(rhs, y0):
+        sol = solve_ivp(rhs, t_span, y0, t_eval=times, method="DOP853",
+                        rtol=1e-10, atol=1e-12)
+        assert sol.success
+        return sol.y.T
+
+    exact = integrate(lambda t, y: -1j * (
+        lm @ y + n @ (vmat @ (np.exp(-1j * evals * t) * x0_eig))), p @ x0)
+    memory = integrate(lambda t, v: -1j * (g @ v),
+                       np.concatenate([p @ x0, pq.seed @ x0]))
+    return exact, memory[:, :x0.size]
+
+
 class TestEvolveMasterExact:
     def test_initial_condition(self):
         rng = np.random.default_rng(10)
@@ -251,11 +302,7 @@ class TestNakajimaZwanzig:
         # a non-Hermitian pi: the exact and the memory-kernel equations
         # must land on coarse_grain of the unitary evolution
         rng = np.random.default_rng(40)
-        basis = biorthogonalize(
-            [np.eye(2, dtype=complex), random_hermitian(rng, 2)],
-            [random_density(rng, 2), random_density(rng, 2)])
-        pi = build_projector(basis)
-        assert np.max(np.abs(pi - pi.conj().T)) > 0.1
+        pi = oblique_projector(rng)
         h = random_hermitian(rng, 2)
         rho0 = random_density(rng, 2)
         lv = build_liouvillian(h)
@@ -272,11 +319,7 @@ class TestNakajimaZwanzig:
         # engages the route must land on coarse_grain of the unitary
         # evolution, and after it on the closed-form method-of-steps chain
         rng = np.random.default_rng(41)
-        basis = biorthogonalize(
-            [np.eye(2, dtype=complex), random_hermitian(rng, 2)],
-            [random_density(rng, 2), random_density(rng, 2)])
-        pi = build_projector(basis)
-        assert np.max(np.abs(pi - pi.conj().T)) > 0.1
+        pi = oblique_projector(rng)
         h = random_hermitian(rng, 2)
         rho0 = coarse_grain(random_density(rng, 2), pi).matrix
         lv = build_liouvillian(h)
@@ -410,6 +453,116 @@ class TestNakajimaZwanzig:
                                         diagonal_projector(3), lv,
                                         np.linspace(0.0, 2.0, 5),
                                         kernel_window=window)
+
+
+def closed_form_case(case):
+    """(rho0, pi, H, times) of one closed-form vs DOP853 case."""
+    rng = np.random.default_rng(50)
+    times = np.linspace(0.0, 10.0, 21)
+    if case == "oblique":
+        pi = oblique_projector(rng)
+        return random_density(rng, 2), pi, random_hermitian(rng, 2), times
+    dim_e = 3 if case == "eid-2x3" else 2
+    h, _ = eid_fixture(rng, 2, dim_e)
+    rho0 = np.kron(random_density(rng, 2), random_density(rng, dim_e))
+    if case == "t0=1":
+        times = times + 1.0
+    return rho0, eid_projector(2, dim_e), h, times
+
+
+# a fresh interpreter, because this pytest process has imported scipy
+NO_SCIPY = """
+import json, sys
+import numpy as np
+from decolab import master_eq
+from decolab.open_system import eid_projector
+
+h = np.kron(np.diag([1.0, -1.0]), np.array([[0.3, 1.0], [1.0, -0.2]]))
+rho0 = np.kron(np.diag([0.7, 0.3]), np.diag([0.9, 0.1])).astype(complex)
+lv = master_eq.build_liouvillian(h)
+times = np.linspace(0.0, 5.0, 11)
+for route in (master_eq.evolve_master_exact,
+              master_eq.evolve_nakajima_zwanzig):
+    route(rho0, eid_projector(2, 2), lv, times)
+master_eq.evolve_nakajima_zwanzig(rho0, eid_projector(2, 2), lv, times,
+                                  kernel_window=5.0)
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("case", ["eid-2x2", "eid-2x3", "oblique",
+                                      "t0=1"])
+    def test_match_dop853(self, case):
+        # t0=1 pins y(t0) = P rho_0 with the feedback e^{-iLt} rho_0 read
+        # at absolute t, not at t - t0
+        rho0, pi, h, times = closed_form_case(case)
+        lv = build_liouvillian(h)
+        exact, memory = dop853_routes(rho0, pi, lv, times)
+        for got, want in ((evolve_master_exact(rho0, pi, lv, times), exact),
+                          (evolve_nakajima_zwanzig(rho0, pi, lv, times),
+                           memory)):
+            got = np.array([vec(s.matrix) for s in got])
+            assert np.max(np.abs(got - want)) <= 1e-8
+
+    def test_exact_route_reads_the_defect(self, monkeypatch):
+        # with N dropped the projected equation is no longer the projected
+        # unitary flow: the route must feel N, not rebuild P e^{-iLt}
+        rng = np.random.default_rng(51)
+        h, rho0 = eid_fixture(rng, 2, 2)
+        pi = eid_projector(2, 2)
+        lv = build_liouvillian(h)
+        times = np.linspace(0.0, 10.0, 21)
+        monkeypatch.setattr(master_eq, "defect",
+                            lambda p, liouville: np.zeros_like(p))
+        got = evolve_master_exact(rho0, pi, lv, times)
+        want = [coarse_grain(r, pi).matrix
+                for r in evolve_unitary(rho0, h, times)]
+        assert max(np.max(np.abs(a.matrix - b))
+                   for a, b in zip(got, want)) > 0.1
+
+    def test_degenerate_bohr_spectrum(self):
+        # levels 2, 0, 0, -2: every Bohr gap but +-2 and +-4 is repeated,
+        # and D = 0 has multiplicity six
+        sz = np.diag([1.0, -1.0]).astype(complex)
+        h = np.kron(sz, np.eye(2)) + np.kron(np.eye(2), sz)
+        rng = np.random.default_rng(52)
+        rho0 = random_density(rng, 4)
+        pi = eid_projector(2, 2)
+        lv = build_liouvillian(h)
+        times = np.linspace(0.0, 10.0, 21)
+        want = [coarse_grain(r, pi).matrix
+                for r in evolve_unitary(rho0, h, times)]
+        for got in (evolve_master_exact(rho0, pi, lv, times),
+                    evolve_nakajima_zwanzig(rho0, pi, lv, times)):
+            for a, b in zip(got, want):
+                assert np.max(np.abs(a.matrix - b)) <= 1e-12
+
+    def test_routes_load_no_scipy(self):
+        src = str(Path(decolab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None,
+                                      [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", NO_SCIPY],
+                             env=dict(os.environ, PYTHONPATH=path),
+                             check=True, timeout=120, capture_output=True,
+                             text=True)
+        assert json.loads(run.stdout) == []
+
+    @pytest.mark.parametrize("extra", [0.0, 3.0])
+    def test_window_at_horizon_is_no_window(self, extra):
+        # Q rho0 != 0 and t0 != 0: a window that reaches the horizon
+        # truncates nothing and takes the unwindowed route, silently
+        rho0, pi, h, times = closed_form_case("t0=1")
+        lv = build_liouvillian(h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            windowed = evolve_nakajima_zwanzig(
+                rho0, pi, lv, times,
+                kernel_window=times[-1] - times[0] + extra)
+        plain = evolve_nakajima_zwanzig(rho0, pi, lv, times)
+        np.testing.assert_array_equal([s.matrix for s in windowed],
+                                      [s.matrix for s in plain])
 
 
 @pytest.mark.parametrize("solver", [evolve_master_exact,
