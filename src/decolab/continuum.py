@@ -83,7 +83,7 @@ class EnergyGrid:
     """Strictly increasing energies >= 0 with trapezoid quadrature weights."""
 
     omega: np.ndarray
-    weights: np.ndarray = None
+    weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
         w = np.asarray(self.omega, dtype=float)
@@ -95,17 +95,10 @@ class EnergyGrid:
                 "grid energies must be finite and strictly increasing")
         if w[0] < 0:
             raise ValueError("grid energies must be >= 0")
-        if self.weights is None:
-            q = np.empty_like(w)
-            q[0] = 0.5 * (w[1] - w[0])
-            q[-1] = 0.5 * (w[-1] - w[-2])
-            q[1:-1] = 0.5 * (w[2:] - w[:-2])
-        else:
-            q = np.asarray(self.weights, dtype=float)
-            # "not within (0, inf)" so that NaN weights are refused too
-            if q.shape != w.shape or not np.all((0 < q) & (q < np.inf)):
-                raise ValueError(
-                    "weights must be finite and positive, one per energy")
+        q = np.empty_like(w)
+        q[0] = 0.5 * (w[1] - w[0])
+        q[-1] = 0.5 * (w[-1] - w[-2])
+        q[1:-1] = 0.5 * (w[2:] - w[:-2])
         object.__setattr__(self, "omega", _frozen(w))
         object.__setattr__(self, "weights", _frozen(q))
 

@@ -161,13 +161,13 @@ def _integrate_complex(rhs, y0, t_span, t_eval, dense_output=False):
 def evolve_master_exact(rho0, pi, liouville, times):
     """Solve i d|rho_G)/dt = L|rho_G) + N|rho(t)), N = PL - LP.
 
-    From |rho_G(t0)) = P|rho_0), with the feedback |rho(t)) = e^{-iLt}|rho_0)
-    at absolute t.  Duhamel's formula in the eigenbasis L = V E V^dag
-    gives, with M = V^dag N V and x = V^dag|rho_0),
+    From |rho_G(t0)) = P|rho_0), with the feedback |rho(t)) =
+    e^{-iL(t - t0)}|rho_0): time is measured from t0 = times[0].  Duhamel's
+    formula in the eigenbasis L = V E V^dag gives, with M = V^dag N V,
+    x = V^dag|rho_0) and s = t - t0,
 
-        y_k(t) = e^{-iE_k t} [e^{iE_k t0} (V^dag P|rho_0))_k
-                 - i sum_j M_kj x_j (Phi_kj(t) - Phi_kj(t0))],
-        Phi_kj(t) = t e^{i D t/2} sinc(D t/2pi),   D = E_k - E_j,
+        y_k(t) = e^{-iE_k s} [(V^dag P|rho_0))_k - i sum_j M_kj x_j Phi_kj(s)],
+        Phi_kj(s) = s e^{i D s/2} sinc(D s/2pi),   D = E_k - E_j,
 
     exact at D = 0 with no threshold.  The defect N stays the source and
     P e^{-iLt} is never formed, so agreement with coarse_grain(rho(t), pi)
@@ -183,17 +183,15 @@ def evolve_master_exact(rho0, pi, liouville, times):
     source = (vmat.conj().T @ n @ vmat) * (vmat.conj().T @ x0)
     gaps = np.subtract.outer(evals, evals)
 
-    def phi(t):
-        return t * np.exp(0.5j * gaps * t) * np.sinc(gaps * (t / (2 * np.pi)))
+    def phi(s):
+        return s * np.exp(0.5j * gaps * s) * np.sinc(gaps * (s / (2 * np.pi)))
 
     times = np.asarray(times, dtype=float)
-    t0 = times[0]
-    start = np.exp(1j * evals * t0) * (vmat.conj().T @ (p @ x0))
-    phi0 = phi(t0)
+    start = vmat.conj().T @ (p @ x0)
     # one sample at a time: O(d^4) memory rather than O(T d^4)
-    ys = [np.exp(-1j * evals * t)
-          * (start - 1j * np.sum(source * (phi(t) - phi0), axis=1))
-          for t in times]
+    ys = [np.exp(-1j * evals * s)
+          * (start - 1j * np.sum(source * phi(s), axis=1))
+          for s in times - times[0]]
     return _coarse_states(vmat @ np.array(ys).T)
 
 

@@ -172,19 +172,22 @@ def purity(rho):
 # spin-bath scenario
 # ---------------------------------------------------------------------------
 
+def _bath_energies(couplings):
+    """Omega = sum_k g_k z_k over the 2^n bath bit strings, in Kronecker
+    order: spin 0 is the most significant bit and z = +1 for bit 0."""
+    e = np.zeros(1)
+    for g in couplings:
+        e = np.add.outer(e, [g, -g]).ravel()
+    return e
+
+
 def spin_bath_hamiltonian_diagonal(params):
     """Diagonal of H in the computational product basis (length 2^(n+1)).
 
     H = sum_k (g_k/2) sigma_z^(S) (x) sigma_z^(k) is diagonal; entry for
-    (system bit s, bath bits b) is z_s * sum_k (g_k/2) z_k with z = +/-1.
+    (system bit s, bath bits b) is z_s * Omega_b / 2 with z = +/-1.
     """
-    n = params.n_spins
-    bath = np.zeros(2 ** n)
-    for k, g in enumerate(params.couplings):
-        # sigma_z pattern of bath spin k in kron order: +1/-1 blocks
-        block = 2 ** (n - 1 - k)
-        pattern = np.tile(np.repeat(np.array([1.0, -1.0]), block), 2 ** k)
-        bath += 0.5 * g * pattern
+    bath = 0.5 * _bath_energies(params.couplings)
     return np.concatenate([bath, -bath])
 
 
@@ -230,41 +233,31 @@ def spin_bath_scenario(params):
 def spin_bath_reduced_dynamics(params, times):
     """rho_S(t) from the full 2^(n+1)-dimensional simulation, no approximation.
 
-    H is a sum of commuting single-spin terms, so psi(t) is psi0 times the
-    Kronecker product over bath spins k (spin 0 most significant) of
-    (e^{-i g_k t/2}, e^{+i g_k t/2}), conjugated for the system spin down.
-    That product is hi (x) lo, two half-bath tables over all times, so with
-    psi0 as (2, hi bits, lo bits) each entry of Tr_E is one contraction,
-    rho_ij[t] = sum_ab (hi_i conj(hi_j))[t,a] C_ij[a,b] (lo_i conj(lo_j))[t,b]
-    with C_ij = psi0[i] conj(psi0[j]), hi_0 = hi, hi_1 = conj(hi) (lo alike).
+    H is diagonal, so psi(t)[s, b] = psi0[s, b] e^{-i z_s Omega_b t/2} with
+    Omega_b = sum_k g_k z_k over bath bit strings b.  The populations are
+    constants of motion, rho_ii = sum_b |psi0[i, b]|^2, and the coherence
+    is rho_01[t] = sum_b C[b] e^{-i Omega_b t}, C = psi0[0] conj(psi0[1]).
+    Omega splits over the bath halves, so e^{-i Omega t} is hi (x) lo, and
+    rho_01[t] = sum_ab hi[t,a] C[a,b] lo[t,b] over the full 2^n state.
     The sums are numpy einsums, never BLAS, so the bytes do not depend on
     the thread count; rho_10 = conj(rho_01).  Returns np.shape(times) + (2, 2).
     """
     _check_spin_cap(params.n_spins)
     times = np.asarray(times, dtype=float)
-    up = np.exp(-0.5j * np.multiply.outer(times.ravel(), params.couplings))
-    pairs = np.stack([up, up.conj()], axis=-1)  # (T, spin, its bit)
-    halves = []
-    for part in np.split(pairs, [params.n_spins // 2], axis=1):
-        table = np.ones((times.size, 1), dtype=complex)
-        for k in range(part.shape[1]):
-            table = (table[:, :, None] * part[:, k, None]).reshape(
-                times.size, 2 << k)
-        halves.append(table)
-    hi, lo = halves
+    g = params.couplings
+    hi, lo = (np.exp(-1j * np.multiply.outer(times.ravel(),
+                                             _bath_energies(part)))
+              for part in (g[:len(g) // 2], g[len(g) // 2:]))
     psi0 = spin_bath_initial_vector(params).reshape(2, hi.shape[1], -1)
-    # populations: every factor is real
-    pops = np.einsum("ta,tia->ti", np.abs(hi) ** 2, np.einsum(
-        "iab,tb->tia", np.abs(psi0) ** 2, np.abs(lo) ** 2))
-    # coherence: C_01 lo^2 as one real product on interleaved (re, im)
-    # pairs, each entry c standing as [[re c, -im c], [im c, re c]]
+    # coherence: C lo as one real product on interleaved (re, im) pairs,
+    # each entry c standing as [[re c, -im c], [im c, re c]]
     c = psi0[0] * psi0[1].conj()
     block = np.array([[c.real, -c.imag], [c.imag, c.real]])
     block = block.transpose(2, 0, 3, 1).reshape(2 * c.shape[0], -1)
-    y = np.einsum("ab,tb->ta", block, (lo * lo).view(float)).view(complex)
-    coh = np.einsum("ta,ta->t", hi * hi, y)
+    y = np.einsum("ab,tb->ta", block, lo.view(float)).view(complex)
+    coh = np.einsum("ta,ta->t", hi, y)
     out = np.empty((times.size, 2, 2), dtype=complex)
-    out[:, 0, 0], out[:, 1, 1] = pops[:, 0], pops[:, 1]
+    out[:, 0, 0], out[:, 1, 1] = np.sum(np.abs(psi0) ** 2, axis=(1, 2))
     out[:, 0, 1], out[:, 1, 0] = coh, coh.conj()
     return out.reshape(times.shape + (2, 2))
 
@@ -293,10 +286,7 @@ def spin_bath_recurrence_window(couplings):
     single spin gives pi/g, the period of |cos(g t)|.  Returns inf when
     the spectrum collapses to a point (all couplings zero).
     """
-    freqs = np.zeros(1)
-    for g in couplings:
-        freqs = np.concatenate([freqs + g, freqs - g])
-    freqs = np.unique(np.round(freqs, 12))
+    freqs = np.unique(np.round(_bath_energies(couplings), 12))
     if freqs.size < 2:
         return np.inf
     gap = float(np.min(np.diff(freqs)))

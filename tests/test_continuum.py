@@ -107,15 +107,6 @@ class TestEnergyGrid:
         with pytest.raises(ValueError, match="at least 2"):
             EnergyGrid(np.array([1.0]))
 
-    def test_rejects_bad_weights(self):
-        with pytest.raises(ValueError, match="positive"):
-            EnergyGrid(np.array([0.0, 1.0]), weights=np.array([1.0, 0.0]))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_rejects_non_finite_weights(self, bad):
-        with pytest.raises(ValueError, match="finite and positive"):
-            EnergyGrid(np.array([0.0, 1.0]), weights=np.array([1.0, bad]))
-
     def test_recurrence_window(self):
         g = EnergyGrid.uniform(0.0, 10.0, 401)
         assert_allclose(g.recurrence_window(), 2 * np.pi / 0.025)

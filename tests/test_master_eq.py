@@ -172,7 +172,7 @@ def oblique_projector(rng):
 def dop853_routes(rho0, pi, lv, times):
     """P|rho(t)) from both projected equations integrated by DOP853.
 
-    The exact equation i y' = L y + N e^{-iLt}|rho_0) and the memory
+    The exact equation i y' = L y + N e^{-iL(t - t0)}|rho_0) and the memory
     system i (y, z)' = [[PLP, from], [into, diag lam]] (y, z), both from
     y(t0) = P|rho_0), at rtol 1e-10 and atol 1e-12: the numerical
     reference for the closed forms.  Returns (exact, memory), each of
@@ -195,7 +195,8 @@ def dop853_routes(rho0, pi, lv, times):
         return sol.y.T
 
     exact = integrate(lambda t, y: -1j * (
-        lm @ y + n @ (vmat @ (np.exp(-1j * evals * t) * x0_eig))), p @ x0)
+        lm @ y + n @ (vmat @ (np.exp(-1j * evals * (t - times[0])) * x0_eig))),
+        p @ x0)
     memory = integrate(lambda t, v: -1j * (g @ v),
                        np.concatenate([p @ x0, pq.seed @ x0]))
     return exact, memory[:, :x0.size]
@@ -495,8 +496,8 @@ class TestClosedForms:
     @pytest.mark.parametrize("case", ["eid-2x2", "eid-2x3", "oblique",
                                       "t0=1"])
     def test_match_dop853(self, case):
-        # t0=1 pins y(t0) = P rho_0 with the feedback e^{-iLt} rho_0 read
-        # at absolute t, not at t - t0
+        # t0=1 pins y(t0) = P rho_0 with the feedback e^{-iL(t - t0)} rho_0:
+        # time is measured from the first sample
         rho0, pi, h, times = closed_form_case(case)
         lv = build_liouvillian(h)
         exact, memory = dop853_routes(rho0, pi, lv, times)
@@ -505,6 +506,18 @@ class TestClosedForms:
                            memory)):
             got = np.array([vec(s.matrix) for s in got])
             assert np.max(np.abs(got - want)) <= 1e-8
+
+    def test_routes_agree_from_t0(self):
+        # started at t0 = 1, the exact and memory-kernel routes are the
+        # unitary flow from t0, projected
+        rho0, pi, h, times = closed_form_case("t0=1")
+        lv = build_liouvillian(h)
+        want = [coarse_grain(r, pi).matrix
+                for r in evolve_unitary(rho0, h, times - times[0])]
+        for got in (evolve_master_exact(rho0, pi, lv, times),
+                    evolve_nakajima_zwanzig(rho0, pi, lv, times)):
+            for a, b in zip(got, want):
+                assert np.max(np.abs(a.matrix - b)) <= 1e-12
 
     def test_exact_route_reads_the_defect(self, monkeypatch):
         # with N dropped the projected equation is no longer the projected

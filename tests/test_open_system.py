@@ -1,5 +1,7 @@
 """Open-system route: lifting, tracing, projector, spin-bath scenario."""
 
+import functools
+import itertools
 import os
 import subprocess
 import sys
@@ -268,6 +270,16 @@ class TestSpinBathScenario:
             + 0.65 * np.kron(SZ, np.kron(np.eye(2), SZ))
         assert_allclose(spin_bath_hamiltonian_diagonal(params), np.diag(h).real,
                         atol=1e-14)
+        # n=3 random couplings, H summed term by term from np.kron: pins
+        # the bit order of the bath enumeration (spin 0 most significant)
+        g = np.random.default_rng(66).uniform(-1.5, 1.5, 3)
+        params = SpinBathParams(couplings=tuple(g), angles=(0.0,) * 3)
+        h = np.zeros((16, 16), dtype=complex)
+        for k in range(3):
+            factors = [SZ] + [SZ if j == k else np.eye(2) for j in range(3)]
+            h += 0.5 * g[k] * functools.reduce(np.kron, factors)
+        assert_allclose(spin_bath_hamiltonian_diagonal(params), np.diag(h).real,
+                        rtol=0, atol=1e-14)
 
     def test_bath_in_z_eigenstate_keeps_coherence_modulus(self):
         params = SpinBathParams(couplings=(1.0,), angles=(0.0,))
@@ -405,6 +417,9 @@ class TestSpinBathScenario:
         series = spin_bath_reduced_dynamics(params, np.linspace(0, 20, 60))
         assert np.max(np.abs(series[:, 0, 0] - 0.7)) <= 1e-12
         assert np.max(np.abs(series[:, 1, 1] - 0.3)) <= 1e-12
+        # a diagonal H cannot move the populations: equal bit for bit
+        assert np.array_equal(series[:, 0, 0], np.full(60, series[0, 0, 0]))
+        assert np.array_equal(series[:, 1, 1], np.full(60, series[0, 1, 1]))
 
     def test_purity_strictly_drops_with_bath_superposition(self):
         params = SpinBathParams(couplings=(1.0,) * 4, angles=(np.pi / 2,) * 4)
@@ -427,6 +442,14 @@ class TestSpinBathScenario:
     def test_recurrence_window_commensurate(self):
         # g = (1, 2): signed sums {-3,-1,1,3}, min gap 2, window pi
         assert_allclose(spin_bath_recurrence_window((1.0, 2.0)), np.pi)
+
+    def test_recurrence_window_random_couplings(self):
+        # n=6: the minimal gap of every signed sum, enumerated directly
+        g = np.random.default_rng(67).uniform(0.5, 1.5, 6)
+        sums = np.unique([np.dot(z, g)
+                          for z in itertools.product((1.0, -1.0), repeat=6)])
+        assert_allclose(spin_bath_recurrence_window(tuple(g)),
+                        2 * np.pi / np.min(np.diff(sums)), rtol=1e-12)
 
 
 class TestPreferredBasis:
