@@ -18,17 +18,13 @@ the exactly evolved state.  The convolution is realized by auxiliary
 memory modes (the eigenmodes of QLQ on range(Q)), which reproduces the
 memory integral exactly rather than by kernel sampling; an optional
 finite memory window truncates the integral explicitly and says so.
-That windowed delay equation is the one route integrated numerically
-(DOP853).
+The windowed delay equation is solved exactly too, by the method of
+steps with a Taylor series; no decolab module imports scipy.
 
 The module also carries a small dissipative generator (not of
 commutator form) whose coherence-decay and population-relaxation rates
 are set independently, for exercising decoherence-vs-relaxation time
 ordering; nothing in the projection machinery depends on it.
-
-Only the windowed route integrates, and no CLI subcommand reaches it, so
-scipy is imported only inside ``solve_ivp``; any later scipy-backed route
-defers its import the same way.
 """
 
 from __future__ import annotations
@@ -59,12 +55,11 @@ __all__ = [
     "memory_kernel",
     "evolve_linear_generator",
     "dissipative_toy",
-    "solve_ivp",
 ]
 
-# DOP853 tolerances of the windowed memory-kernel integration
-RTOL = 1e-10
-ATOL = 1e-12
+# windowed route: Taylor substeps |L h| <= THETA end their series by term 33
+TAYLOR_THETA = 4.0
+TAYLOR_TERMS = 40
 # Hermiticity and identity-annihilation tolerance of a Liouvillian
 LIOUVILLIAN_TOL = 1e-10
 
@@ -142,20 +137,24 @@ def _propagate(g, v0, times):
     return (smat @ (np.exp(lam * times[..., None]) * coeff)[..., None])[..., 0]
 
 
-def solve_ivp(fun, t_span, y0, **options):
-    """``scipy.integrate.solve_ivp``, imported on first call: the import
-    costs more than all of ``decolab.cli``, which never integrates."""
-    from scipy.integrate import solve_ivp as integrate
-    return integrate(fun, t_span, y0, **options)
-
-
-def _integrate_complex(rhs, y0, t_span, t_eval, dense_output=False):
-    """One DOP853 call at RTOL/ATOL."""
-    sol = solve_ivp(rhs, t_span, y0, t_eval=t_eval, method="DOP853",
-                    rtol=RTOL, atol=ATOL, dense_output=dense_output)
-    if not sol.success:
-        raise RuntimeError(f"integrator failed: {sol.message}")
-    return sol
+def _taylor(step, v, dt, bound):
+    """e^{dt L} v for the linear map L = ``step`` with |L| <= bound: a
+    Taylor series on substeps h with |L h| <= TAYLOR_THETA, each summed
+    until two terms in a row fall below roundoff (Al-Mohy and Higham,
+    SIAM J. Sci. Comput. 33, 488 (2011)); a partial sum raises."""
+    count = int(np.ceil(abs(dt) * bound / TAYLOR_THETA))
+    for _ in range(count):
+        total, term, last = v, v, np.inf
+        tol = np.finfo(float).eps * np.linalg.norm(v)
+        for k in range(1, TAYLOR_TERMS + 1):
+            term = step(term) * (dt / count / k)
+            total, prev, last = total + term, last, np.linalg.norm(term)
+            if prev + last <= tol:
+                break
+        else:
+            raise RuntimeError(f"no Taylor convergence in {TAYLOR_TERMS} terms")
+        v = total
+    return v
 
 
 def evolve_master_exact(rho0, pi, liouville, times):
@@ -179,6 +178,9 @@ def evolve_master_exact(rho0, pi, liouville, times):
     x0 = vec(np.asarray(rho0, dtype=complex))
     if p.shape[0] != x0.size:
         raise DimensionMismatchError("projector does not match state dimension")
+    times = np.asarray(times, dtype=float)
+    if not times.size:
+        return []
     evals, vmat = np.linalg.eigh(liouville.superop)
     source = (vmat.conj().T @ n @ vmat) * (vmat.conj().T @ x0)
     gaps = np.subtract.outer(evals, evals)
@@ -186,7 +188,6 @@ def evolve_master_exact(rho0, pi, liouville, times):
     def phi(s):
         return s * np.exp(0.5j * gaps * s) * np.sinc(gaps * (s / (2 * np.pi)))
 
-    times = np.asarray(times, dtype=float)
     start = vmat.conj().T @ (p @ x0)
     # one sample at a time: O(d^4) memory rather than O(T d^4)
     ys = [np.exp(-1j * evals * s)
@@ -264,23 +265,22 @@ def evolve_nakajima_zwanzig(rho0, pi, liouville, times, kernel_window=None):
     """Solve the closed P/Q equation for y = P|rho), P = state_map(pi).
 
     The memory integral is carried exactly by the eigenmodes of QLQ on
-    range(Q): the pair (y, z) with z the mode coordinates of Q|rho)
-    obeys a local linear system whose y-component reproduces the
-    convolution equation.  Q|rho_0) seeds the modes, which is exactly
-    the inhomogeneous term, so the equation is exact for every initial
-    state.  That system is autonomous and diagonalizable, so (y, z) is
-    propagated in closed form from its eigendecomposition.
+    range(Q): with y = u_p a, u_p orthonormal in range(P), and z the mode
+    coordinates of Q|rho), (a, z) obeys an autonomous, diagonalizable
+    linear system whose a-component reproduces the convolution equation;
+    Q|rho_0) seeds the modes, which is exactly the inhomogeneous term, so
+    it is exact for every initial state and is propagated in closed form.
 
     A finite ``kernel_window`` w replaces the integral over [0, t] by
-    [t - w, t]: y is driven by z(t) - e^{-iQLQ w} z(t - w), plus the
-    source e^{-iQLQ (t - t0)} Q|rho_0) that this subtraction cancels.
-    The delay equation is integrated (DOP853) by the method of steps: one
-    integration per window, reading z(t - w) from the previous window's
-    dense output.  A window at least the horizon long truncates nothing
-    and takes the closed form.  If w is shorter than the requested
-    horizon a truncation warning with a crude bound estimate is emitted.
-    The windowed path requires strictly increasing times; a window that
-    is not positive is refused.
+    [t - w, t]: y is driven by z(t) - D z(t - w), D = e^{-iQLQ w}, plus
+    the source e^{-iQLQ (t - t0)} Q|rho_0) that this subtraction cancels.
+    The method of steps solves it exactly: segment j of the time axis is
+    column j of one array, driven by column j - 1, and all columns advance
+    together by a truncated Taylor series.  A window at least the horizon
+    long truncates nothing and takes the closed form; a shorter one warns
+    with a crude bound on the dropped tail, needs strictly increasing
+    times, and refuses a record that overflows.  A window that is not
+    positive is refused.
     """
     if kernel_window is not None and not kernel_window > 0:
         # written as "not > 0" so that a NaN window is refused too
@@ -290,18 +290,20 @@ def evolve_nakajima_zwanzig(rho0, pi, liouville, times, kernel_window=None):
     x0 = vec(np.asarray(rho0, dtype=complex))
     if np.shape(pi)[0] != x0.size:
         raise DimensionMismatchError("projector does not match state dimension")
+    if not times.size:
+        return []
     pq = _pq_system(pi, liouville)
-    y0 = pq.p @ x0
-    z0 = pq.seed @ x0
-    t0, t1 = float(times[0]), float(times[-1])
-    horizon = t1 - t0
+    u_p = _range_basis(pq.p)
+    na = u_p.shape[1]
+    # L on range(P) (+) range(Q) in the coordinates (a, z): no ker P rows
+    g = -1j * np.block([[u_p.conj().T @ pq.plp @ u_p,
+                         u_p.conj().T @ pq.from_modes],
+                        [pq.into_modes @ u_p, np.diag(pq.lam)]])
+    start = np.concatenate([u_p.conj().T @ (pq.p @ x0), pq.seed @ x0])
+    t0, horizon = times[0], times[-1] - times[0]
     if kernel_window is None or kernel_window >= horizon:
-        # one autonomous linear system: L on range(P) (+) range(Q) in the
-        # coordinates (y, z), plus zeros on ker P, so it diagonalizes
-        g = -1j * np.block([[pq.plp, pq.from_modes],
-                            [pq.into_modes, np.diag(pq.lam)]])
-        yz = _propagate(g, np.concatenate([y0, z0]), times - t0)
-        return _coarse_states(yz[:, :y0.size].T)
+        az = _propagate(g, start, times - t0)
+        return _coarse_states(u_p @ az[:, :na].T)
 
     # crude tail bound: |e^{-iQLQ tau}| stays O(1) on a real spectrum,
     # so nothing decays by itself and the dropped history is bounded
@@ -314,36 +316,34 @@ def evolve_nakajima_zwanzig(rho0, pi, liouville, times, kernel_window=None):
         RuntimeWarning, stacklevel=2)
     if np.any(np.diff(times) <= 0):
         raise ValueError("sample times must be strictly increasing")
-    decay = np.exp(-1j * pq.lam * kernel_window)
-    # segment k spans [t0 + k w, t0 + (k + 1) w], cut at t1; edges from
-    # the integer k, so a horizon of whole windows adds no sliver at t1
-    edges = [t0 + k * kernel_window
-             for k in range(int(horizon // kernel_window) + 1)
-             if t0 + k * kernel_window < t1] + [t1]
+    # column j is (a, z, r)(t0 + j w + s) e^{-j grow}, r = D^j e^{-iQLQ s}
+    # Q|rho_0) the source, driven by +i from D (z_{j-1} - r_{j-1}): so a
+    # growing D (oblique projectors) does not set the step, |L| <= bound
+    m, grow = g.shape[0], max(0.0, kernel_window * pq.lam.imag.max())
+    feed = 1j * (u_p.conj().T @ pq.from_modes) \
+        * np.exp(-1j * pq.lam * kernel_window - grow)
+    bound = np.linalg.norm(g, 2) + np.sqrt(2) * np.linalg.norm(feed, 2)
+
+    def step(v):
+        out = np.concatenate([g @ v[:m], -1j * pq.lam[:, None] * v[m:]])
+        out[:na, 1:] += feed @ (v[na:m, :-1] - v[m:, :-1])
+        return out
 
     # a sample on an edge is read from the segment that ends there
-    chunks = np.split(times, np.searchsorted(times, edges[1:-1], side="right"))
-    ny = y0.size
-    history = None  # dense output of the previous segment
-
-    def rhs(t, yz):
-        y, z = yz[:ny], yz[ny:]
-        drive = z if history is None else \
-            z - decay * history(t - kernel_window)[ny:] \
-            + np.exp(-1j * pq.lam * (t - t0)) * z0
-        dy = -1j * (pq.plp @ y + pq.from_modes @ drive)
-        dz = -1j * (pq.lam * z + pq.into_modes @ y)
-        return np.concatenate([dy, dz])
-
-    yz, ys = np.concatenate([y0, z0]), []
-    for a, b, chunk in zip(edges, edges[1:], chunks):
-        # only a segment that has a successor keeps its dense output
-        sol = _integrate_complex(rhs, yz, (a, b), chunk, dense_output=b < t1)
-        if chunk.size:
-            ys.append(sol.y)
-        if b < t1:
-            yz, history = sol.sol(b), sol.sol
-    return _coarse_states(np.concatenate(ys, axis=1)[:ny])
+    seg = np.maximum(np.ceil((times - t0) / kernel_window).astype(int) - 1, 0)
+    v0 = np.concatenate([start, start[na:]])[:, None]
+    v, s, out = v0, 0.0, []
+    for j in range(seg[-1] + 1):
+        for stop in times[seg == j] - t0 - j * kernel_window:
+            v, s = _taylor(step, v, stop - s, bound), stop
+            out.append(v[:na, -1] * np.exp(grow * j))
+        if j < seg[-1]:  # the end of segment j starts segment j + 1
+            v = _taylor(step, v, kernel_window - s, bound) * np.exp(-grow)
+            v, s = np.hstack([v0, v]), 0.0
+    if not np.isfinite(out).all():
+        raise FloatingPointError("windowed route overflows: QLQ has modes "
+                                 f"growing like e^({pq.lam.imag.max():.3g} t)")
+    return _coarse_states(u_p @ np.array(out).T)
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,36 @@ def oblique_projector(rng):
     return pi
 
 
+def oblique_sweep_case(seed):
+    """(rho0, pi, H) of the oblique-projector sweep at one seed: d in 2..4
+    and the rank in 1..d^2 - 1 are drawn, and pi pairs the identity plus
+    random Hermitian observables with random states."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 5))
+    rank = int(rng.integers(1, d * d))
+    obs = [np.eye(d, dtype=complex)] \
+        + [random_hermitian(rng, d) for _ in range(rank - 1)]
+    pi = build_projector(biorthogonalize(
+        obs, [random_density(rng, d) for _ in range(rank)]))
+    h = random_hermitian(rng, d)
+    return random_density(rng, d), pi, h
+
+
+def windowed_sweep_system(name):
+    """(rho0, pi, H) of one system of the windowed sweep."""
+    if name == "oblique":
+        rng = np.random.default_rng(41)
+        pi = oblique_projector(rng)
+        h = random_hermitian(rng, 2)
+        return random_density(rng, 2), pi, h
+    if name == "eid-2x2":
+        h, rho0 = eid_fixture(np.random.default_rng(60), 2, 2)
+        return rho0, eid_projector(2, 2), h
+    rng = np.random.default_rng(61)
+    h = random_hermitian(rng, 3)
+    return random_density(rng, 3), diagonal_projector(3), h
+
+
 def dop853_routes(rho0, pi, lv, times):
     """P|rho(t)) from both projected equations integrated by DOP853.
 
@@ -235,15 +265,6 @@ class TestEvolveMasterExact:
         purities = [float(np.vdot(vec(s.matrix), vec(s.matrix)).real)
                     for s in out]
         assert np.ptp(purities) <= 1e-10
-
-    def test_integrator_failure_reported(self):
-        # a singular right-hand side drives the step size to underflow;
-        # the failure must surface with the solver diagnostic attached
-        from decolab.master_eq import _integrate_complex
-
-        with pytest.raises(RuntimeError, match="step size"):
-            _integrate_complex(lambda t, y: y / (0.5 - t),
-                               np.array([1.0 + 0j]), (0.0, 1.0), [0.0, 1.0])
 
 
 class TestNakajimaZwanzig:
@@ -339,6 +360,30 @@ class TestNakajimaZwanzig:
                     assert np.max(np.abs(a.matrix - b)) <= 1e-8
                 assert np.max(np.abs(vec(a.matrix) - y)) <= 1e-9
                 assert abs(np.trace(a.matrix) - np.trace(rho0)) <= 1e-10
+
+    def test_oblique_closed_form_has_no_ker_p_rows(self):
+        # seed 103 of the oblique sweep: d = 3, rank 3, |pi|_2 = 408.  The
+        # (y, z) generator, padded with the ker P rows, was 2.9e-5 off
+        # here; acceptance 06 allows the memory closure 1e-6
+        rho0, pi, h = oblique_sweep_case(103)
+        assert rho0.shape == (3, 3) and np.linalg.matrix_rank(pi) == 3
+        assert 400 < np.linalg.norm(pi, 2) < 420
+        times = np.linspace(0.0, 10.0, 21)
+        want = [coarse_grain(r, pi).matrix
+                for r in evolve_unitary(rho0, h, times)]
+        got = evolve_nakajima_zwanzig(rho0, pi, build_liouvillian(h), times)
+        assert max(np.max(np.abs(a.matrix - b))
+                   for a, b in zip(got, want)) <= 1e-6
+
+    def test_windowed_overflow_refused(self):
+        # the same case: QLQ has the eigenvalue 158i, so D = e^{-iQLQ w}
+        # alone passes 1e308 at w = 4.5 and the windowed record overflows
+        rho0, pi, h = oblique_sweep_case(103)
+        with pytest.warns(RuntimeWarning), \
+                pytest.raises(FloatingPointError, match="overflows"):
+            evolve_nakajima_zwanzig(rho0, pi, build_liouvillian(h),
+                                    np.linspace(0.0, 10.0, 21),
+                                    kernel_window=4.5)
 
     @pytest.mark.parametrize("dim_s, dim_e", [(2, 2), (2, 3), (3, 3)])
     def test_product_state_matches_unitary_then_project(self, dim_s, dim_e):
@@ -443,6 +488,54 @@ class TestNakajimaZwanzig:
                 assert np.max(np.abs(a.matrix - b.matrix)) <= 1e-8
             assert np.max(np.abs(vec(a.matrix) - y)) <= 1e-9
 
+    # 4, 3 and 15 segments on [0, 10]
+    @pytest.mark.parametrize("window", [2.5, 4.5, 0.7])
+    @pytest.mark.parametrize("system", ["eid-2x2", "diag-3", "oblique"])
+    def test_windowed_sweep_matches_chain(self, system, window):
+        # Q rho0 != 0 in every system, so each segment carries the source
+        rho0, pi, h = windowed_sweep_system(system)
+        lv = build_liouvillian(h)
+        times = np.linspace(0.0, 10.0, 21)
+        with pytest.warns(RuntimeWarning, match="window"):
+            got = evolve_nakajima_zwanzig(rho0, pi, lv, times,
+                                          kernel_window=window)
+        want = windowed_chain_reference(_pq_system(pi, lv), vec(rho0),
+                                        times, window)
+        # the worst of the nine cases measured 5.5e-14
+        assert max(np.max(np.abs(vec(a.matrix) - y))
+                   for a, y in zip(got, want)) <= 1e-12
+
+    @pytest.mark.parametrize("window", [2.5, 4.5])
+    def test_windowed_route_with_growing_modes(self, window):
+        # QLQ on this oblique range(Q) has the eigenvalue 2.81i, so D =
+        # e^{-iQLQ w} grows like e^{2.81 w} and y reaches 1e11 by t = 10;
+        # column j is held scaled by max|D|^-j, or the Taylor step count
+        # would grow like e^{2.81 w} as well
+        rng = np.random.default_rng(68)
+        pi = oblique_projector(rng)
+        h = random_hermitian(rng, 2)
+        rho0 = random_density(rng, 2)
+        lv = build_liouvillian(h)
+        times = np.linspace(0.0, 10.0, 21)
+        with pytest.warns(RuntimeWarning, match="window"):
+            got = evolve_nakajima_zwanzig(rho0, pi, lv, times,
+                                          kernel_window=window)
+        want = windowed_chain_reference(_pq_system(pi, lv), vec(rho0),
+                                        times, window)
+        # relative to the largest entry: measured 1.5e-14
+        assert max(np.max(np.abs(vec(a.matrix) - y))
+                   for a, y in zip(got, want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_taylor_refuses_a_partial_sum(self):
+        # a bound far below |L| leaves the series of a substep unconverged
+        # after TAYLOR_TERMS terms: that raises instead of returning it
+        from decolab.master_eq import _taylor
+
+        gen = np.diag([30j, -30j])
+        with pytest.raises(RuntimeError, match="Taylor"):
+            _taylor(lambda v: gen @ v, np.ones((2, 1), dtype=complex),
+                    1.0, 1.0)
+
     @pytest.mark.parametrize("window", [0.0, -1.0, np.nan])
     def test_nonpositive_window_refused(self, window):
         rng = np.random.default_rng(29)
@@ -473,7 +566,7 @@ def closed_form_case(case):
 
 # a fresh interpreter, because this pytest process has imported scipy
 NO_SCIPY = """
-import json, sys
+import json, sys, warnings
 import numpy as np
 from decolab import master_eq
 from decolab.open_system import eid_projector
@@ -485,8 +578,10 @@ times = np.linspace(0.0, 5.0, 11)
 for route in (master_eq.evolve_master_exact,
               master_eq.evolve_nakajima_zwanzig):
     route(rho0, eid_projector(2, 2), lv, times)
-master_eq.evolve_nakajima_zwanzig(rho0, eid_projector(2, 2), lv, times,
-                                  kernel_window=5.0)
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", RuntimeWarning)  # the truncation
+    master_eq.evolve_nakajima_zwanzig(rho0, eid_projector(2, 2), lv, times,
+                                      kernel_window=1.5)
 print(json.dumps(sorted(m for m in sys.modules
                         if m == "scipy" or m.startswith("scipy."))))
 """
@@ -587,6 +682,21 @@ def test_projector_state_dimension_mismatch_refused(solver):
                                                      "match state dimension"):
         solver(random_density(rng, 2), diagonal_projector(3), lv,
                np.linspace(0.0, 1.0, 3))
+
+
+@pytest.mark.parametrize("solver, window", [
+    (evolve_master_exact, None), (evolve_nakajima_zwanzig, None),
+    (evolve_nakajima_zwanzig, 1.0)], ids=["exact", "memory", "windowed"])
+def test_empty_times_give_no_states(solver, window):
+    # as evolve_unitary gives shape (0, d, d): no sample, no state
+    rng = np.random.default_rng(31)
+    h, rho0 = eid_fixture(rng, 2, 2)
+    options = {} if window is None else {"kernel_window": window}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solver(rho0, eid_projector(2, 2), build_liouvillian(h), [],
+                      **options) == []
+    assert evolve_unitary(rho0, h, []).shape == (0, 4, 4)
 
 
 class TestDissipativeToy:
