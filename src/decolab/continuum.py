@@ -114,11 +114,6 @@ class EnergyGrid:
     def span(self):
         return float(self.omega[-1] - self.omega[0])
 
-    def quad(self, values):
-        """Quadrature of samples against the grid weights."""
-        return complex(np.sum(self.weights * np.asarray(values))) \
-            if np.iscomplexobj(values) else float(np.sum(self.weights * values))
-
     def nearest(self, energies):
         """Index of the nearest grid point; a tie goes to the lower one."""
         w, x = self.omega, energies

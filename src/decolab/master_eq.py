@@ -109,14 +109,19 @@ def build_liouvillian(hamiltonian):
     return Liouvillian(np.kron(eye, h) - np.kron(h.T, eye))
 
 
+def _check_sizes(pi, liouville, rho0=None):
+    """Refuse a projector or a state from another space than L's."""
+    shape = liouville.superop.shape
+    if np.shape(pi) != shape:
+        raise DimensionMismatchError(f"projector shape {np.shape(pi)} vs L {shape}")
+    if rho0 is not None and np.size(rho0) != shape[0]:
+        raise DimensionMismatchError("projector does not match state dimension")
+
+
 def defect(pi, liouville):
     """The matrix N = pi L - L pi; zero exactly when pi commutes with L."""
-    pi = np.asarray(pi, dtype=complex)
-    lm = liouville.superop
-    if pi.shape != lm.shape:
-        raise DimensionMismatchError(
-            f"projector shape {pi.shape} vs Liouvillian {lm.shape}"
-        )
+    _check_sizes(pi, liouville)
+    pi, lm = np.asarray(pi, dtype=complex), liouville.superop
     return pi @ lm - lm @ pi
 
 
@@ -138,10 +143,10 @@ def _propagate(g, v0, times):
 
 
 def _taylor(step, v, dt, bound):
-    """e^{dt L} v for the linear map L = ``step`` with |L| <= bound: a
-    Taylor series on substeps h with |L h| <= TAYLOR_THETA, each summed
-    until two terms in a row fall below roundoff (Al-Mohy and Higham,
-    SIAM J. Sci. Comput. 33, 488 (2011)); a partial sum raises."""
+    """e^{dt L} v for the linear map L = ``step``, |L| <= bound: a Taylor
+    series on substeps h with |L h| <= TAYLOR_THETA, each summed until two
+    terms in a row fall below roundoff (Al-Mohy and Higham, SIAM J. Sci.
+    Comput. 33, 488 (2011)); a partial sum or an overflow raises."""
     count = int(np.ceil(abs(dt) * bound / TAYLOR_THETA))
     for _ in range(count):
         total, term, last = v, v, np.inf
@@ -149,6 +154,8 @@ def _taylor(step, v, dt, bound):
         for k in range(1, TAYLOR_TERMS + 1):
             term = step(term) * (dt / count / k)
             total, prev, last = total + term, last, np.linalg.norm(term)
+            if not np.isfinite(last):
+                raise FloatingPointError("Taylor term overflows")
             if prev + last <= tol:
                 break
         else:
@@ -173,11 +180,10 @@ def evolve_master_exact(rho0, pi, liouville, times):
     is a consistency check, not a tautology.  Returns a list of
     :class:`CoarseState`.
     """
+    _check_sizes(pi, liouville, rho0)
     p = state_map(np.asarray(pi, dtype=complex))
     n = defect(p, liouville)
     x0 = vec(np.asarray(rho0, dtype=complex))
-    if p.shape[0] != x0.size:
-        raise DimensionMismatchError("projector does not match state dimension")
     times = np.asarray(times, dtype=float)
     if not times.size:
         return []
@@ -209,29 +215,29 @@ def _range_basis(projector):
 
 @dataclass(frozen=True)
 class _PQSystem:
-    """The P/Q split of L, P = pi^dag, with QLQ in its eigenmodes z."""
+    """The P/Q split of L, P = pi^dag, in the coordinates (a, z): P|rho) =
+    basis @ a, basis orthonormal, and z the eigenmodes of QLQ on range(Q)."""
 
-    p: np.ndarray           # P, the state map of the projector
-    plp: np.ndarray
+    basis: np.ndarray       # u_p
+    plp: np.ndarray         # u_p^dag PLP u_p
     lam: np.ndarray         # eigenvalues of QLQ on range(Q)
-    into_modes: np.ndarray  # y -> dz drive
-    from_modes: np.ndarray  # z -> dy drive
-    seed: np.ndarray        # |rho) -> mode coordinates of Q|rho)
+    into_modes: np.ndarray  # a -> dz drive
+    from_modes: np.ndarray  # z -> da drive
+    coords: np.ndarray      # |rho) -> (a, z)
 
 
 def _pq_system(pi, liouville):
-    """Restricted operators for the P/Q split of L."""
+    """The P/Q split of L in (a, z), as both memory routes read it."""
     p = state_map(np.asarray(pi, dtype=complex))
     lm = liouville.superop
     q = np.eye(p.shape[0], dtype=complex) - p
-    u_q = _range_basis(q)
-    a = u_q.conj().T @ (q @ lm @ q) @ u_q      # QLQ on range(Q)
-    lam, smat = np.linalg.eig(a)
-    s_inv = np.linalg.inv(smat)
-    return _PQSystem(p=p, plp=p @ lm @ p, lam=lam,
-                     into_modes=s_inv @ u_q.conj().T @ (q @ lm @ p),
-                     from_modes=p @ lm @ (u_q @ smat),
-                     seed=s_inv @ u_q.conj().T @ q)
+    u_p, u_q = _range_basis(p), _range_basis(q)
+    lam, smat = np.linalg.eig(u_q.conj().T @ (q @ lm @ q) @ u_q)
+    to_a, to_z = u_p.conj().T, np.linalg.inv(smat) @ u_q.conj().T
+    return _PQSystem(basis=u_p, plp=to_a @ (p @ lm @ p) @ u_p, lam=lam,
+                     into_modes=to_z @ (q @ lm @ p) @ u_p,
+                     from_modes=to_a @ (p @ lm @ (u_q @ smat)),
+                     coords=np.vstack([to_a @ p, to_z @ q]))
 
 
 @dataclass(frozen=True)
@@ -252,13 +258,12 @@ def memory_kernel(pi, liouville, taus):
     Returns a :class:`MemoryKernel` whose matrices act on coordinates in
     the returned orthonormal basis of range(P); K(0) is PLQ QLP itself.
     """
+    _check_sizes(pi, liouville)
     pq = _pq_system(pi, liouville)
-    u_p = _range_basis(pq.p)
-    left = u_p.conj().T @ pq.from_modes
-    right = pq.into_modes @ u_p
     taus = np.asarray(taus, dtype=float)
     phase = np.exp(-1j * pq.lam * taus[:, None])
-    return MemoryKernel(taus, (left * phase[:, None, :]) @ right, u_p)
+    return MemoryKernel(taus, (pq.from_modes * phase[:, None, :])
+                        @ pq.into_modes, pq.basis)
 
 
 def evolve_nakajima_zwanzig(rho0, pi, liouville, times, kernel_window=None):
@@ -278,50 +283,49 @@ def evolve_nakajima_zwanzig(rho0, pi, liouville, times, kernel_window=None):
     column j of one array, driven by column j - 1, and all columns advance
     together by a truncated Taylor series.  A window at least the horizon
     long truncates nothing and takes the closed form; a shorter one warns
-    with a crude bound on the dropped tail, needs strictly increasing
-    times, and refuses a record that overflows.  A window that is not
-    positive is refused.
+    with a bound on the dropped tail that grows with the QLQ modes, needs
+    strictly increasing times, and refuses a record that overflows.  A
+    window that is not positive is refused.
     """
     if kernel_window is not None and not kernel_window > 0:
         # written as "not > 0" so that a NaN window is refused too
         raise ValueError(
             f"kernel_window must be positive or None, got {kernel_window}")
+    _check_sizes(pi, liouville, rho0)
     times = np.asarray(times, dtype=float)
-    x0 = vec(np.asarray(rho0, dtype=complex))
-    if np.shape(pi)[0] != x0.size:
-        raise DimensionMismatchError("projector does not match state dimension")
     if not times.size:
         return []
     pq = _pq_system(pi, liouville)
-    u_p = _range_basis(pq.p)
-    na = u_p.shape[1]
+    na, m = pq.plp.shape[0], pq.coords.shape[0]
     # L on range(P) (+) range(Q) in the coordinates (a, z): no ker P rows
-    g = -1j * np.block([[u_p.conj().T @ pq.plp @ u_p,
-                         u_p.conj().T @ pq.from_modes],
-                        [pq.into_modes @ u_p, np.diag(pq.lam)]])
-    start = np.concatenate([u_p.conj().T @ (pq.p @ x0), pq.seed @ x0])
+    g = -1j * np.block([[pq.plp, pq.from_modes],
+                        [pq.into_modes, np.diag(pq.lam)]])
+    start = pq.coords @ vec(np.asarray(rho0, dtype=complex))
     t0, horizon = times[0], times[-1] - times[0]
     if kernel_window is None or kernel_window >= horizon:
         az = _propagate(g, start, times - t0)
-        return _coarse_states(u_p @ az[:, :na].T)
+        return _coarse_states(pq.basis @ az[:, :na].T)
 
-    # crude tail bound: |e^{-iQLQ tau}| stays O(1) on a real spectrum,
-    # so nothing decays by itself and the dropped history is bounded
-    # only by its duration times the coupling strengths
+    # |K(tau)| <= |from| |into| e^{rate tau}: the history older than the
+    # window is bounded by its integral over [w, horizon], the span itself
+    # when no mode grows (a Hermitian QLQ has Im lam at roundoff)
+    rate = pq.lam.imag.max(initial=0.0)  # 0 for decaying or no modes
+    grow, span = kernel_window * rate, horizon - kernel_window
+    tail = np.exp(grow) * np.expm1(rate * span) / rate if rate else span
     drop = (np.linalg.norm(pq.from_modes, 2)
-            * np.linalg.norm(pq.into_modes, 2) * (horizon - kernel_window))
+            * np.linalg.norm(pq.into_modes, 2) * tail)
+    modes = f"QLQ has modes growing like e^({rate:.3g} t)"
     warnings.warn(
         f"memory window {kernel_window} is shorter than the horizon "
-        f"{horizon}; dropped-tail bound ~ {drop:.3e} * sup|y|",
+        f"{horizon}; dropped-tail bound ~ {drop:.3e} * sup|y|"
+        + (f"; {modes}" if rate > LIOUVILLIAN_TOL else ""),
         RuntimeWarning, stacklevel=2)
     if np.any(np.diff(times) <= 0):
         raise ValueError("sample times must be strictly increasing")
     # column j is (a, z, r)(t0 + j w + s) e^{-j grow}, r = D^j e^{-iQLQ s}
     # Q|rho_0) the source, driven by +i from D (z_{j-1} - r_{j-1}): so a
     # growing D (oblique projectors) does not set the step, |L| <= bound
-    m, grow = g.shape[0], max(0.0, kernel_window * pq.lam.imag.max())
-    feed = 1j * (u_p.conj().T @ pq.from_modes) \
-        * np.exp(-1j * pq.lam * kernel_window - grow)
+    feed = 1j * pq.from_modes * np.exp(-1j * pq.lam * kernel_window - grow)
     bound = np.linalg.norm(g, 2) + np.sqrt(2) * np.linalg.norm(feed, 2)
 
     def step(v):
@@ -333,17 +337,19 @@ def evolve_nakajima_zwanzig(rho0, pi, liouville, times, kernel_window=None):
     seg = np.maximum(np.ceil((times - t0) / kernel_window).astype(int) - 1, 0)
     v0 = np.concatenate([start, start[na:]])[:, None]
     v, s, out = v0, 0.0, []
-    for j in range(seg[-1] + 1):
-        for stop in times[seg == j] - t0 - j * kernel_window:
-            v, s = _taylor(step, v, stop - s, bound), stop
-            out.append(v[:na, -1] * np.exp(grow * j))
-        if j < seg[-1]:  # the end of segment j starts segment j + 1
-            v = _taylor(step, v, kernel_window - s, bound) * np.exp(-grow)
-            v, s = np.hstack([v0, v]), 0.0
-    if not np.isfinite(out).all():
-        raise FloatingPointError("windowed route overflows: QLQ has modes "
-                                 f"growing like e^({pq.lam.imag.max():.3g} t)")
-    return _coarse_states(u_p @ np.array(out).T)
+    try:
+        for j in range(seg[-1] + 1):
+            for stop in times[seg == j] - t0 - j * kernel_window:
+                v, s = _taylor(step, v, stop - s, bound), stop
+                out.append(v[:na, -1] * np.exp(grow * j))
+            if j < seg[-1]:  # the end of segment j starts segment j + 1
+                v = _taylor(step, v, kernel_window - s, bound) * np.exp(-grow)
+                v, s = np.hstack([v0, v]), 0.0
+        if not np.isfinite(out).all():  # the e^{grow j} rescale alone
+            raise FloatingPointError("record overflows")
+    except FloatingPointError as err:  # a Taylor term or the record
+        raise FloatingPointError(f"windowed route overflows: {modes}") from err
+    return _coarse_states(pq.basis @ np.array(out).T)
 
 
 # ---------------------------------------------------------------------------

@@ -208,11 +208,10 @@ def parse_config(path, seed=None, tol_overrides=None):
         raise ConfigError(
             "[eid-spin-bath] key 'coupling_max': must be >= coupling_min"
         )
-    if kind == "sid-kernel" and params["family"] == "table" \
-            and not params["kernel_csv"]:
-        raise ConfigError(
-            "[sid-kernel] key 'kernel_csv' is required when family = table"
-        )
+    if kind == "sid-kernel" \
+            and (params["family"] == "table") != bool(params["kernel_csv"]):
+        raise ConfigError("[sid-kernel] key 'kernel_csv' is required when "
+                          "family = table, and read only then")
     tolerances = parse_tolerances(tol_overrides, cp)
     return ScenarioConfig(kind=kind, name=name,
                           seed=seed if seed is not None else cfg_seed,

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -117,34 +118,48 @@ def eid_fixture(rng, dim_s, dim_e, coupling=0.8):
     return h, rho0
 
 
-def windowed_chain_reference(pq, x0, times, window):
+def orthonormal_split(pi, lv):
+    """L in the coordinates (a, b) of P|rho) = u_p a and Q|rho) = u_q b,
+    with u_p and u_q orthonormal and QLQ not diagonalized: a P/Q split
+    built apart from ``_pq_system``.  Returns u_p, L on (a, b) with the
+    blocks [[PLP, PLQ], [QLP, QLQ]], and the map |rho) -> (a, b)."""
+    p = state_map(pi)
+    q = np.eye(p.shape[0]) - p
+    rank = int(round(np.trace(p).real))  # a projector's trace is its rank
+    u_p = np.linalg.svd(p)[0][:, :rank]
+    u_q = np.linalg.svd(q)[0][:, :p.shape[0] - rank]
+    coords = np.vstack([u_p.conj().T @ p, u_q.conj().T @ q])
+    return u_p, coords @ lv.superop @ np.hstack([u_p, u_q]), coords
+
+
+def windowed_chain_reference(pi, lv, x0, times, window):
     """y(t) of the windowed P/Q equation by the method of steps, by expm.
 
-    With v = (y, z, r), z(t0) = r(t0) the mode coordinates of Q|rho_0)
-    and the source r' = -i QLQ r, the pieces u_j(s) = v(t0 + j w + s) of
-    window m obey u_0' = G_0 u_0 and u_j' = G u_j + B u_{j-1} for
-    1 <= j <= m: one block-bidiagonal linear system per window.  The
-    source feeds y only in G, in the pieces whose delayed subtraction
-    cancels it.
+    With v = (a, b, r) in the coordinates of ``orthonormal_split``, b(t0)
+    = r(t0) the coordinates of Q|rho_0) and the source r' = -i QLQ r, the
+    pieces u_j(s) = v(t0 + j w + s) of window m obey u_0' = G_0 u_0 and
+    u_j' = G u_j + B u_{j-1} for 1 <= j <= m: one block-bidiagonal linear
+    system per window.  The source feeds a only in G, in the pieces whose
+    delayed subtraction cancels it.
     """
-    ny, nz = pq.plp.shape[0], pq.lam.size
-    n = ny + 2 * nz
+    u_p, lab, coords = orthonormal_split(pi, lv)
+    na = u_p.shape[1]
+    nb = lab.shape[0] - na
+    n = na + 2 * nb
     g0 = np.zeros((n, n), dtype=complex)
-    g0[:ny, :ny] = pq.plp
-    g0[:ny, ny:ny + nz] = pq.from_modes
-    g0[ny:ny + nz, :ny] = pq.into_modes
-    g0[ny:, ny:] = np.kron(np.eye(2), np.diag(pq.lam))
+    g0[:na + nb, :na + nb] = lab
+    g0[na + nb:, na + nb:] = lab[na:, na:]
     g0 *= -1j
     g = g0.copy()
-    g[:ny, ny + nz:] = -1j * pq.from_modes
+    g[:na, na + nb:] = -1j * lab[:na, na:]
     b = np.zeros_like(g)
-    b[:ny, ny:ny + nz] = 1j * pq.from_modes * np.exp(-1j * pq.lam * window)
+    b[:na, na:na + nb] = 1j * lab[:na, na:] @ expm(-1j * lab[na:, na:] * window)
 
     def chain(m):
         return block_diag(g0, *[g] * m) + np.kron(np.eye(m + 1, k=-1), b)
 
-    z0 = pq.seed @ x0
-    v0 = np.concatenate([pq.p @ x0, z0, z0])
+    ab0 = coords @ x0
+    v0 = np.concatenate([ab0, ab0[na:]])
     starts = [v0]  # starts[m] = (u_0(0), ..., u_m(0))
     out = []
     for t in times:
@@ -154,7 +169,7 @@ def windowed_chain_reference(pq, x0, times, window):
             starts.append(np.concatenate(
                 [v0, expm(chain(k) * window) @ starts[k]]))
         s = t - times[0] - m * window
-        out.append((expm(chain(m) * s) @ starts[m])[-n:][:ny])
+        out.append(u_p @ (expm(chain(m) * s) @ starts[m])[-n:][:na])
     return np.array(out)
 
 
@@ -203,8 +218,8 @@ def dop853_routes(rho0, pi, lv, times):
     """P|rho(t)) from both projected equations integrated by DOP853.
 
     The exact equation i y' = L y + N e^{-iL(t - t0)}|rho_0) and the memory
-    system i (y, z)' = [[PLP, from], [into, diag lam]] (y, z), both from
-    y(t0) = P|rho_0), at rtol 1e-10 and atol 1e-12: the numerical
+    system i (a, b)' = L (a, b) in the coordinates of ``orthonormal_split``,
+    both from P|rho_0), at rtol 1e-10 and atol 1e-12: the numerical
     reference for the closed forms.  Returns (exact, memory), each of
     shape (len(times), d^2).
     """
@@ -214,8 +229,7 @@ def dop853_routes(rho0, pi, lv, times):
     n = p @ lm - lm @ p
     evals, vmat = np.linalg.eigh(lm)
     x0_eig = vmat.conj().T @ x0
-    pq = _pq_system(pi, lv)
-    g = np.block([[pq.plp, pq.from_modes], [pq.into_modes, np.diag(pq.lam)]])
+    u_p, lab, coords = orthonormal_split(pi, lv)
     t_span = (times[0], times[-1])
 
     def integrate(rhs, y0):
@@ -227,9 +241,8 @@ def dop853_routes(rho0, pi, lv, times):
     exact = integrate(lambda t, y: -1j * (
         lm @ y + n @ (vmat @ (np.exp(-1j * evals * (t - times[0])) * x0_eig))),
         p @ x0)
-    memory = integrate(lambda t, v: -1j * (g @ v),
-                       np.concatenate([p @ x0, pq.seed @ x0]))
-    return exact, memory[:, :x0.size]
+    memory = integrate(lambda t, v: -1j * (lab @ v), coords @ x0)
+    return exact, memory[:, :u_p.shape[1]] @ u_p.T
 
 
 class TestEvolveMasterExact:
@@ -265,6 +278,23 @@ class TestEvolveMasterExact:
         purities = [float(np.vdot(vec(s.matrix), vec(s.matrix)).real)
                     for s in out]
         assert np.ptp(purities) <= 1e-10
+
+    def test_oblique_sweep_matches_unitary_then_project(self):
+        # the 200 seeds cover every (d, rank) with d <= 4; the worst gap
+        # measured 1.29e-11 (seed 151).  The memory route is not held to
+        # this: on the same sweep it is up to 1.16e-3 off
+        times = np.linspace(0.0, 10.0, 21)
+        pairs, worst = set(), 0.0
+        for seed in range(200):
+            rho0, pi, h = oblique_sweep_case(seed)
+            pairs.add((rho0.shape[0], int(round(np.trace(pi).real))))
+            got = evolve_master_exact(rho0, pi, build_liouvillian(h), times)
+            want = [coarse_grain(r, pi).matrix
+                    for r in evolve_unitary(rho0, h, times)]
+            worst = max(worst, max(np.max(np.abs(a.matrix - b))
+                                   for a, b in zip(got, want)))
+        assert pairs == {(d, r) for d in (2, 3, 4) for r in range(1, d * d)}
+        assert worst <= 1e-10
 
 
 class TestNakajimaZwanzig:
@@ -345,7 +375,6 @@ class TestNakajimaZwanzig:
         h = random_hermitian(rng, 2)
         rho0 = coarse_grain(random_density(rng, 2), pi).matrix
         lv = build_liouvillian(h)
-        pq = _pq_system(pi, lv)
         # the second window ends past the horizon: a partial last segment
         for window, t1 in ((2.5, 5.0), (4.5, 10.0)):
             times = np.linspace(0.0, t1, int(2 * t1) + 1)
@@ -354,7 +383,8 @@ class TestNakajimaZwanzig:
                                                    kernel_window=window)
             want = [coarse_grain(r, pi).matrix
                     for r in evolve_unitary(rho0, h, times)]
-            chain = windowed_chain_reference(pq, vec(rho0), times, window)
+            chain = windowed_chain_reference(pi, lv, vec(rho0), times,
+                                             window)
             for t, a, b, y in zip(times, windowed, want, chain):
                 if t <= window:
                     assert np.max(np.abs(a.matrix - b)) <= 1e-8
@@ -385,6 +415,59 @@ class TestNakajimaZwanzig:
                                     np.linspace(0.0, 10.0, 21),
                                     kernel_window=4.5)
 
+    def test_overflow_inside_a_taylor_series_refused(self):
+        # seed 151: d = 4, rank 8 and a QLQ eigenvalue 2.06e3i.  The record
+        # overflows inside the first segment's Taylor series, whose terms
+        # turn to NaN: the overflow refusal, not a convergence failure
+        rho0, pi, h = oblique_sweep_case(151)
+        assert rho0.shape == (4, 4) and np.linalg.matrix_rank(pi) == 8
+        with pytest.warns(RuntimeWarning), pytest.raises(
+                FloatingPointError, match=r"overflows: .*e\^\(2.06e\+03 t\)"):
+            evolve_nakajima_zwanzig(rho0, pi, build_liouvillian(h),
+                                    np.linspace(0.0, 10.0, 21),
+                                    kernel_window=4.5)
+
+    def test_truncation_bound_covers_growing_modes(self):
+        # seed 68: QLQ has the eigenvalue 2.81i, so the kernel grows like
+        # e^{2.81 tau}.  The quoted tail bound must cover the integral of
+        # |K(tau)| over the dropped lags [w, horizon], and name the rate
+        rng = np.random.default_rng(68)
+        pi = oblique_projector(rng)
+        h = random_hermitian(rng, 2)
+        rho0 = random_density(rng, 2)
+        lv = build_liouvillian(h)
+        with pytest.warns(RuntimeWarning,
+                          match=r"growing like e\^\(2.81 t\)") as caught:
+            evolve_nakajima_zwanzig(rho0, pi, lv, np.linspace(0.0, 10.0, 21),
+                                    kernel_window=4.5)
+        bound = float(re.search(r"bound ~ (\S+)", str(caught[0].message))[1])
+        taus = np.linspace(4.5, 10.0, 2001)
+        norms = np.linalg.norm(memory_kernel(pi, lv, taus).matrices, 2,
+                               axis=(1, 2))
+        assert np.trapezoid(norms, taus) <= bound
+        # a Hermitian QLQ has no growing mode: none is named
+        rho0, pi, h = windowed_sweep_system("eid-2x2")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            evolve_nakajima_zwanzig(rho0, pi, build_liouvillian(h),
+                                    np.linspace(0.0, 10.0, 21),
+                                    kernel_window=4.5)
+        assert "bound" in str(caught[0].message)
+        assert "growing" not in str(caught[0].message)
+
+    def test_windowed_route_without_a_q_sector(self):
+        # pi = 1 eliminates nothing: there is no memory to truncate, and
+        # the windowed route is the unitary flow
+        rng = np.random.default_rng(33)
+        h = random_hermitian(rng, 3)
+        rho0 = random_density(rng, 3)
+        times = np.linspace(0.0, 5.0, 11)
+        with pytest.warns(RuntimeWarning, match=r"bound ~ 0\.000e\+00"):
+            got = evolve_nakajima_zwanzig(rho0, np.eye(9), build_liouvillian(h),
+                                          times, kernel_window=1.0)
+        for a, b in zip(got, evolve_unitary(rho0, h, times)):
+            assert np.max(np.abs(a.matrix - b)) <= 1e-12
+
     @pytest.mark.parametrize("dim_s, dim_e", [(2, 2), (2, 3), (3, 3)])
     def test_product_state_matches_unitary_then_project(self, dim_s, dim_e):
         # rho_S (x) rho_E with a full-rank, non-uniform rho_E: Q rho0 != 0,
@@ -394,7 +477,7 @@ class TestNakajimaZwanzig:
         rho0 = np.kron(random_density(rng, dim_s), random_density(rng, dim_e))
         pi = eid_projector(dim_s, dim_e)
         lv = build_liouvillian(h)
-        assert np.linalg.norm(_pq_system(pi, lv).seed @ vec(rho0)) >= 0.3
+        assert np.linalg.norm(vec(rho0) - pi.conj().T @ vec(rho0)) >= 0.3
         times = np.linspace(0.0, 10.0, 21)
         nz = evolve_nakajima_zwanzig(rho0, pi, lv, times)
         for a, r in zip(nz, evolve_unitary(rho0, h, times)):
@@ -414,8 +497,6 @@ class TestNakajimaZwanzig:
                         u_p.conj().T @ direct @ u_p, atol=1e-10)
 
     def test_kernel_samples_match_per_tau_product(self):
-        from decolab.master_eq import _range_basis
-
         rng = np.random.default_rng(29)
         h, _ = eid_fixture(rng, 2, 2)
         pi = eid_projector(2, 2)
@@ -423,12 +504,10 @@ class TestNakajimaZwanzig:
         taus = np.linspace(0.0, 4.0, 9)
         kern = memory_kernel(pi, lv, taus)
         pq = _pq_system(pi, lv)
-        u_p = _range_basis(pq.p)
-        left = u_p.conj().T @ pq.from_modes
-        right = pq.into_modes @ u_p
         scale = np.max(np.abs(kern.matrices[0]))
         for tau, mat in zip(taus, kern.matrices):
-            looped = left @ np.diag(np.exp(-1j * pq.lam * tau)) @ right
+            looped = pq.from_modes @ np.diag(np.exp(-1j * pq.lam * tau)) \
+                @ pq.into_modes
             # the products associate differently: roundoff only
             assert np.max(np.abs(mat - looped)) <= 1e-14 * scale
 
@@ -475,14 +554,14 @@ class TestNakajimaZwanzig:
         h, rho0 = eid_fixture(rng, 2, 2)
         pi = eid_projector(2, 2)
         lv = build_liouvillian(h)
-        pq = _pq_system(pi, lv)
-        assert np.linalg.norm(pq.seed @ vec(rho0)) >= 0.3
+        assert np.linalg.norm(vec(rho0) - pi.conj().T @ vec(rho0)) >= 0.3
         window, times = 2.5, np.linspace(0.0, 6.0, 13)
         with pytest.warns(RuntimeWarning, match="window"):
             windowed = evolve_nakajima_zwanzig(rho0, pi, lv, times,
                                                kernel_window=window)
         memory = evolve_nakajima_zwanzig(rho0, pi, lv, times)
-        chain = windowed_chain_reference(pq, vec(rho0), times, window)
+        chain = windowed_chain_reference(pi, lv, vec(rho0), times,
+                                             window)
         for t, a, b, y in zip(times, windowed, memory, chain):
             if t <= window:
                 assert np.max(np.abs(a.matrix - b.matrix)) <= 1e-8
@@ -499,8 +578,7 @@ class TestNakajimaZwanzig:
         with pytest.warns(RuntimeWarning, match="window"):
             got = evolve_nakajima_zwanzig(rho0, pi, lv, times,
                                           kernel_window=window)
-        want = windowed_chain_reference(_pq_system(pi, lv), vec(rho0),
-                                        times, window)
+        want = windowed_chain_reference(pi, lv, vec(rho0), times, window)
         # the worst of the nine cases measured 5.5e-14
         assert max(np.max(np.abs(vec(a.matrix) - y))
                    for a, y in zip(got, want)) <= 1e-12
@@ -520,8 +598,7 @@ class TestNakajimaZwanzig:
         with pytest.warns(RuntimeWarning, match="window"):
             got = evolve_nakajima_zwanzig(rho0, pi, lv, times,
                                           kernel_window=window)
-        want = windowed_chain_reference(_pq_system(pi, lv), vec(rho0),
-                                        times, window)
+        want = windowed_chain_reference(pi, lv, vec(rho0), times, window)
         # relative to the largest entry: measured 1.5e-14
         assert max(np.max(np.abs(vec(a.matrix) - y))
                    for a, y in zip(got, want)) <= 1e-12 * np.max(np.abs(want))
@@ -682,6 +759,20 @@ def test_projector_state_dimension_mismatch_refused(solver):
                                                      "match state dimension"):
         solver(random_density(rng, 2), diagonal_projector(3), lv,
                np.linspace(0.0, 1.0, 3))
+
+
+@pytest.mark.parametrize("route", ["exact", "memory", "kernel"])
+def test_projector_liouvillian_mismatch_refused(route):
+    # pi and rho0 on a qutrit, L on a qubit: every projected route refuses
+    # with the same error before any product is formed
+    rng = np.random.default_rng(32)
+    lv = build_liouvillian(random_hermitian(rng, 2))
+    pi, rho0, times = diagonal_projector(3), random_density(rng, 3), [0.0, 1.0]
+    call = {"exact": lambda: evolve_master_exact(rho0, pi, lv, times),
+            "memory": lambda: evolve_nakajima_zwanzig(rho0, pi, lv, times),
+            "kernel": lambda: memory_kernel(pi, lv, times)}[route]
+    with pytest.raises(DimensionMismatchError, match="projector shape"):
+        call()
 
 
 @pytest.mark.parametrize("solver, window", [

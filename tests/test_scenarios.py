@@ -255,6 +255,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="kernel_csv"):
             parse_config(write_config(tmp_path, bad))
 
+    def test_kernel_csv_refused_unless_table(self, tmp_path):
+        # a gaussian run would never read the file, missing or not
+        bad = SID_CONFIG + f"kernel_csv = {tmp_path / 'missing.csv'}\n"
+        with pytest.raises(ConfigError, match="kernel_csv"):
+            parse_config(write_config(tmp_path, bad))
+
     def test_random_angles_accepted(self, tmp_path):
         cfg = parse_config(write_config(
             tmp_path, EID_CONFIG + "bath_angle = random\n"))
