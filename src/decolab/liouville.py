@@ -36,6 +36,7 @@ __all__ = [
     "vec",
     "unvec",
     "pairing",
+    "hermitian_deviation",
     "require_hermitian",
     "validate_density",
     "validate_observable",
@@ -146,15 +147,23 @@ def pairing(state, obs):
     return complex(np.sum(state * obs.T))
 
 
+def hermitian_deviation(m):
+    """max |M - M^dag|, 0 for an empty ``m``: what :func:`require_hermitian`
+    measures."""
+    m = np.asarray(m)
+    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+
+
 def require_hermitian(m, tol, what):
     """Return ``m`` as an array; raise unless max |M - M^dag| <= ``tol``.
 
     The one Hermiticity check of the package: observables, states,
-    kernels and commutator superoperators all go through it, each with
+    kernels, commutator superoperators and the projectors of the P/Q
+    split all go through it or its :func:`hermitian_deviation`, each with
     its own tolerance.  ``what`` names the operand in the error.
     """
     m = np.asarray(m)
-    dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    dev = hermitian_deviation(m)
     if dev > tol:
         raise InvalidStateError(
             f"{what} not Hermitian: max deviation {dev:.3e}")

@@ -18,6 +18,10 @@ the exactly evolved state.  The convolution is realized by auxiliary
 memory modes (the eigenmodes of QLQ on range(Q)), which reproduces the
 memory integral exactly rather than by kernel sampling; an optional
 finite memory window truncates the integral explicitly and says so.
+An orthogonal projector (P = P^dag: the partial trace, the diagonal
+projector) makes QLQ and the memory system Hermitian, so they are
+diagonalized by eigh with real frequencies and unitary eigenvectors; an
+oblique projector takes the general eig and inverts its eigenvectors.
 The windowed delay equation is solved exactly too, by the method of
 steps with a Taylor series; no decolab module imports scipy.
 
@@ -35,8 +39,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .liouville import (
+    HERMITICITY_TOL,
     CoarseState,
     DimensionMismatchError,
+    hermitian_deviation,
     require_hermitian,
     state_map,
     unvec,
@@ -134,10 +140,16 @@ def _coarse_states(columns):
     return [CoarseState(unvec(col)) for col in columns.T]
 
 
-def _propagate(g, v0, times):
-    """e^{g t} v0 for a diagonalizable g, shape np.shape(times) + v0.shape."""
-    lam, smat = np.linalg.eig(g)
-    coeff = np.linalg.solve(smat, v0)
+def _propagate(g, v0, times, hermitian=False):
+    """e^{g t} v0 for a diagonalizable g, shape np.shape(times) + v0.shape:
+    by eig and a solve, or, for g = -iH with H ``hermitian``, by eigh, whose
+    unitary eigenvectors W give the coefficients W^dag v0."""
+    if hermitian:
+        freqs, smat = np.linalg.eigh(1j * g)
+        lam, coeff = -1j * freqs, smat.conj().T @ v0
+    else:
+        lam, smat = np.linalg.eig(g)
+        coeff = np.linalg.solve(smat, v0)
     # one stacked mat-vec per time: smat @ (e^{lam t} * coeff)
     return (smat @ (np.exp(lam * times[..., None]) * coeff)[..., None])[..., 0]
 
@@ -224,20 +236,41 @@ class _PQSystem:
     into_modes: np.ndarray  # a -> dz drive
     from_modes: np.ndarray  # z -> da drive
     coords: np.ndarray      # |rho) -> (a, z)
+    unitary: bool           # P = P^dag: S unitary, L on (a, z) Hermitian
 
 
 def _pq_system(pi, liouville):
-    """The P/Q split of L in (a, z), as both memory routes read it."""
+    """The P/Q split of L in (a, z), as all three memory routes read it.
+
+    An orthogonal projector, P Hermitian to HERMITICITY_TOL, makes QLQ on
+    range(Q) Hermitian: eigh gives real lam and unitary eigenvectors S, so
+    S^-1 = S^dag, and L on (a, z) is Hermitian too.  An oblique projector
+    takes eig and inverts S.
+    """
     p = state_map(np.asarray(pi, dtype=complex))
     lm = liouville.superop
     q = np.eye(p.shape[0], dtype=complex) - p
     u_p, u_q = _range_basis(p), _range_basis(q)
-    lam, smat = np.linalg.eig(u_q.conj().T @ (q @ lm @ q) @ u_q)
-    to_a, to_z = u_p.conj().T, np.linalg.inv(smat) @ u_q.conj().T
+    qlq = u_q.conj().T @ (q @ lm @ q) @ u_q
+    unitary = hermitian_deviation(p) <= HERMITICITY_TOL
+    if unitary:
+        lam, smat = np.linalg.eigh(qlq)
+        s_inv = smat.conj().T
+    else:
+        lam, smat = np.linalg.eig(qlq)
+        s_inv = np.linalg.inv(smat)
+    to_a, to_z = u_p.conj().T, s_inv @ u_q.conj().T
     return _PQSystem(basis=u_p, plp=to_a @ (p @ lm @ p) @ u_p, lam=lam,
                      into_modes=to_z @ (q @ lm @ p) @ u_p,
                      from_modes=to_a @ (p @ lm @ (u_q @ smat)),
-                     coords=np.vstack([to_a @ p, to_z @ q]))
+                     coords=np.vstack([to_a @ p, to_z @ q]), unitary=unitary)
+
+
+def _growth(rates):
+    """The fastest of the QLQ modes' growth ``rates``, 0 when none grows
+    (always for an orthogonal projector), and the phrase naming it."""
+    rate = np.max(rates, initial=0.0)
+    return rate, f"QLQ has modes growing like e^({rate:.3g} t)"
 
 
 @dataclass(frozen=True)
@@ -257,13 +290,20 @@ def memory_kernel(pi, liouville, taus):
 
     Returns a :class:`MemoryKernel` whose matrices act on coordinates in
     the returned orthonormal basis of range(P); K(0) is PLQ QLP itself.
+    A kernel that overflows (an oblique projector whose QLQ has growing
+    modes) is refused with ``FloatingPointError`` naming the growth rate.
     """
     _check_sizes(pi, liouville)
     pq = _pq_system(pi, liouville)
     taus = np.asarray(taus, dtype=float)
-    phase = np.exp(-1j * pq.lam * taus[:, None])
-    return MemoryKernel(taus, (pq.from_modes * phase[:, None, :])
-                        @ pq.into_modes, pq.basis)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = np.exp(-1j * pq.lam * taus[:, None])
+        matrices = (pq.from_modes * phase[:, None, :]) @ pq.into_modes
+    if not np.isfinite(matrices).all():
+        # |e^{-i lam tau}| = e^{Im(lam) tau}: the rate along the lags sampled
+        _, modes = _growth(pq.lam.imag * np.sign(taus)[:, None])
+        raise FloatingPointError(f"memory kernel overflows: {modes}")
+    return MemoryKernel(taus, matrices, pq.basis)
 
 
 def evolve_nakajima_zwanzig(rho0, pi, liouville, times, kernel_window=None):
@@ -274,7 +314,10 @@ def evolve_nakajima_zwanzig(rho0, pi, liouville, times, kernel_window=None):
     coordinates of Q|rho), (a, z) obeys an autonomous, diagonalizable
     linear system whose a-component reproduces the convolution equation;
     Q|rho_0) seeds the modes, which is exactly the inhomogeneous term, so
-    it is exact for every initial state and is propagated in closed form.
+    it is exact for every initial state and is propagated in closed form:
+    for an orthogonal projector by eigh of its Hermitian generator, whose
+    unitary eigenvectors W give the coefficients W^dag (a, z)(t0), and for
+    an oblique one by eig and a solve.
 
     A finite ``kernel_window`` w replaces the integral over [0, t] by
     [t - w, t]: y is driven by z(t) - D z(t - w), D = e^{-iQLQ w}, plus
@@ -303,18 +346,17 @@ def evolve_nakajima_zwanzig(rho0, pi, liouville, times, kernel_window=None):
     start = pq.coords @ vec(np.asarray(rho0, dtype=complex))
     t0, horizon = times[0], times[-1] - times[0]
     if kernel_window is None or kernel_window >= horizon:
-        az = _propagate(g, start, times - t0)
+        az = _propagate(g, start, times - t0, hermitian=pq.unitary)
         return _coarse_states(pq.basis @ az[:, :na].T)
 
     # |K(tau)| <= |from| |into| e^{rate tau}: the history older than the
     # window is bounded by its integral over [w, horizon], the span itself
-    # when no mode grows (a Hermitian QLQ has Im lam at roundoff)
-    rate = pq.lam.imag.max(initial=0.0)  # 0 for decaying or no modes
+    # when no mode grows
+    rate, modes = _growth(pq.lam.imag)
     grow, span = kernel_window * rate, horizon - kernel_window
     tail = np.exp(grow) * np.expm1(rate * span) / rate if rate else span
     drop = (np.linalg.norm(pq.from_modes, 2)
             * np.linalg.norm(pq.into_modes, 2) * tail)
-    modes = f"QLQ has modes growing like e^({rate:.3g} t)"
     warnings.warn(
         f"memory window {kernel_window} is shorter than the horizon "
         f"{horizon}; dropped-tail bound ~ {drop:.3e} * sup|y|"
@@ -405,7 +447,8 @@ def evolve_linear_generator(generator, rho0, times):
     Returns an array of shape np.shape(times) + (d, d).
     """
     g = np.asarray(generator, dtype=complex)
-    x0 = vec(np.asarray(rho0, dtype=complex))
+    rho0 = np.asarray(rho0, dtype=complex)
+    x0 = vec(rho0)
     if g.shape != (x0.size, x0.size):
         raise DimensionMismatchError(
             f"generator shape {g.shape} vs state length {x0.size}"

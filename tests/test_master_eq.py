@@ -445,15 +445,17 @@ class TestNakajimaZwanzig:
         norms = np.linalg.norm(memory_kernel(pi, lv, taus).matrices, 2,
                                axis=(1, 2))
         assert np.trapezoid(norms, taus) <= bound
-        # a Hermitian QLQ has no growing mode: none is named
-        rho0, pi, h = windowed_sweep_system("eid-2x2")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            evolve_nakajima_zwanzig(rho0, pi, build_liouvillian(h),
-                                    np.linspace(0.0, 10.0, 21),
-                                    kernel_window=4.5)
-        assert "bound" in str(caught[0].message)
-        assert "growing" not in str(caught[0].message)
+        # an orthogonal projector has a Hermitian QLQ and no growing
+        # mode: none is named
+        for system in ("eid-2x2", "diag-3"):
+            rho0, pi, h = windowed_sweep_system(system)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                evolve_nakajima_zwanzig(rho0, pi, build_liouvillian(h),
+                                        np.linspace(0.0, 10.0, 21),
+                                        kernel_window=4.5)
+            assert "bound" in str(caught[0].message)
+            assert "growing" not in str(caught[0].message)
 
     def test_windowed_route_without_a_q_sector(self):
         # pi = 1 eliminates nothing: there is no memory to truncate, and
@@ -495,6 +497,31 @@ class TestNakajimaZwanzig:
         u_p = kern.basis
         assert_allclose(kern.matrices[0],
                         u_p.conj().T @ direct @ u_p, atol=1e-10)
+
+    @pytest.mark.parametrize("seed", [4, 103, 151])
+    def test_kernel_overflow_refused(self, seed):
+        # oblique sweep cases whose QLQ has growing modes: e^{-i lam tau}
+        # overflows on [0, 10], and the kernel is refused, naming the rate,
+        # instead of returned with inf/NaN entries
+        rho0, pi, h = oblique_sweep_case(seed)
+        lv = build_liouvillian(h)
+        rate = _pq_system(pi, lv).lam.imag.max()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError,
+                               match=re.escape(f"e^({rate:.3g} t)")):
+                memory_kernel(pi, lv, np.linspace(0.0, 10.0, 21))
+
+    def test_kernel_overflow_at_negative_lags_names_the_decay(self):
+        # seed 23: no QLQ mode grows, but at tau < 0 the decaying ones do,
+        # and the refusal names the rate at which they grow there
+        rho0, pi, h = oblique_sweep_case(23)
+        lv = build_liouvillian(h)
+        lam = _pq_system(pi, lv).lam
+        assert lam.imag.max() <= 1e-10 < -lam.imag.min()
+        with pytest.raises(FloatingPointError, match=re.escape(
+                f"e^({-lam.imag.min():.3g} t)")):
+            memory_kernel(pi, lv, [0.0, -1e4])
 
     def test_kernel_samples_match_per_tau_product(self):
         rng = np.random.default_rng(29)
@@ -571,9 +598,11 @@ class TestNakajimaZwanzig:
     @pytest.mark.parametrize("window", [2.5, 4.5, 0.7])
     @pytest.mark.parametrize("system", ["eid-2x2", "diag-3", "oblique"])
     def test_windowed_sweep_matches_chain(self, system, window):
-        # Q rho0 != 0 in every system, so each segment carries the source
+        # Q rho0 != 0 in every system, so each segment carries the source;
+        # the orthogonal projectors take the unitary split
         rho0, pi, h = windowed_sweep_system(system)
         lv = build_liouvillian(h)
+        assert _pq_system(pi, lv).unitary == (system != "oblique")
         times = np.linspace(0.0, 10.0, 21)
         with pytest.warns(RuntimeWarning, match="window"):
             got = evolve_nakajima_zwanzig(rho0, pi, lv, times,
@@ -672,6 +701,7 @@ class TestClosedForms:
         # time is measured from the first sample
         rho0, pi, h, times = closed_form_case(case)
         lv = build_liouvillian(h)
+        assert _pq_system(pi, lv).unitary == (case != "oblique")
         exact, memory = dop853_routes(rho0, pi, lv, times)
         for got, want in ((evolve_master_exact(rho0, pi, lv, times), exact),
                           (evolve_nakajima_zwanzig(rho0, pi, lv, times),
@@ -748,6 +778,30 @@ class TestClosedForms:
         plain = evolve_nakajima_zwanzig(rho0, pi, lv, times)
         np.testing.assert_array_equal([s.matrix for s in windowed],
                                       [s.matrix for s in plain])
+
+
+ORTHOGONAL = [("eid", 2, 2), ("eid", 2, 3), ("eid", 3, 3)] \
+    + [("diag", d, None) for d in range(3, 10)]
+
+
+@pytest.mark.parametrize("kind, a, b", ORTHOGONAL,
+                         ids=[f"{k}-{a}x{b}" if b else f"{k}-{a}"
+                              for k, a, b in ORTHOGONAL])
+def test_orthogonal_projector_takes_the_unitary_split(kind, a, b):
+    # P = P^dag: QLQ is diagonalized by eigh, so its eigenvalues are real
+    # and the map |rho) -> (a, z) has orthonormal rows; its z block is
+    # S^dag u_q^dag, so coords coords^dag = 1 is S^dag S = 1
+    rng = np.random.default_rng(34)
+    if kind == "eid":
+        h, _ = eid_fixture(rng, a, b)
+        pi = eid_projector(a, b)
+    else:
+        h, pi = random_hermitian(rng, a), diagonal_projector(a)
+    pq = _pq_system(pi, build_liouvillian(h))
+    assert pq.unitary
+    assert np.all(pq.lam.imag == 0)
+    gram = pq.coords @ pq.coords.conj().T
+    assert np.linalg.norm(gram - np.eye(gram.shape[0]), 2) <= 1e-13
 
 
 @pytest.mark.parametrize("solver", [evolve_master_exact,
@@ -843,6 +897,14 @@ class TestDissipativeToy:
         assert sol.success
         for k in range(len(times)):
             assert np.max(np.abs(vec(series[k]) - sol.y[:, k])) <= 1e-9
+
+    def test_nested_list_state_accepted(self):
+        # an array-like rho0, as every other route accepts
+        toy = dissipative_toy()
+        times = np.linspace(0.0, 2.0, 5)
+        np.testing.assert_array_equal(
+            evolve_linear_generator(toy.generator, toy.rho0.tolist(), times),
+            evolve_linear_generator(toy.generator, toy.rho0, times))
 
     def test_rates_are_separated(self):
         toy = dissipative_toy()
