@@ -5,6 +5,7 @@ Everything here is a thin shell over :mod:`decolab.scenarios` and
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -29,8 +30,9 @@ def _tol_pair(text):
     return key.strip(), raw
 
 
+@functools.cache
 def build_parser():
-    # each subcommand takes only the flags it reads
+    # built once, on first use; each subcommand takes only the flags it reads
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=None,
                       help="override the scenario seed")

@@ -14,16 +14,18 @@ Q = 1 - P and y = P|rho),
 
 Both forms are linear with constant coefficients and are solved here in
 closed form, then cross-validated against the oracle ``coarse_grain`` of
-the exactly evolved state.  The convolution is realized by auxiliary
-memory modes (the eigenmodes of QLQ on range(Q)), which reproduces the
-memory integral exactly rather than by kernel sampling; an optional
-finite memory window truncates the integral explicitly and says so.
-An orthogonal projector (P = P^dag: the partial trace, the diagonal
-projector) makes QLQ and the memory system Hermitian, so they are
-diagonalized by eigh with real frequencies and unitary eigenvectors; an
-oblique projector takes the general eig and inverts its eigenvectors.
-The windowed delay equation is solved exactly too, by the method of
-steps with a Taylor series; no decolab module imports scipy.
+the exactly evolved state.  The P/Q split is one similarity B^-1 L B,
+B = [u_p u_q] spanning range(P) and range(Q) = ker P from one SVD of P.
+The convolution is realized by auxiliary memory modes (the eigenmodes of
+QLQ on range(Q)), which reproduces the memory integral exactly rather
+than by kernel sampling; an optional finite memory window truncates the
+integral explicitly and says so.  An orthogonal projector (P = P^dag:
+the partial trace, the diagonal projector) makes QLQ and the memory
+system Hermitian, so they are diagonalized by eigh with real frequencies
+and unitary eigenvectors; an oblique projector takes the general eig and
+inverts its eigenvectors.  The windowed delay equation is solved exactly
+too, by the method of steps with a Taylor series; no decolab module
+imports scipy.
 
 The module also carries a small dissipative generator (not of
 commutator form) whose coherence-decay and population-relaxation rates
@@ -218,17 +220,10 @@ def evolve_master_exact(rho0, pi, liouville, times):
 # memory-kernel (P/Q) route
 # ---------------------------------------------------------------------------
 
-def _range_basis(projector):
-    """Orthonormal basis of the column space of an idempotent matrix."""
-    u, s, _ = np.linalg.svd(np.asarray(projector, dtype=complex))
-    rank = int(np.sum(s > 1e-10 * max(1.0, float(s[0]))))
-    return u[:, :rank]
-
-
 @dataclass(frozen=True)
 class _PQSystem:
-    """The P/Q split of L, P = pi^dag, in the coordinates (a, z): P|rho) =
-    basis @ a, basis orthonormal, and z the eigenmodes of QLQ on range(Q)."""
+    """The P/Q split of L as the blocks of B^-1 L B, B = [u_p u_q] from one
+    SVD of P = pi^dag, in (a, z): P|rho) = u_p a, z the QLQ eigenmodes."""
 
     basis: np.ndarray       # u_p
     plp: np.ndarray         # u_p^dag PLP u_p
@@ -242,28 +237,26 @@ class _PQSystem:
 def _pq_system(pi, liouville):
     """The P/Q split of L in (a, z), as all three memory routes read it.
 
-    An orthogonal projector, P Hermitian to HERMITICITY_TOL, makes QLQ on
-    range(Q) Hermitian: eigh gives real lam and unitary eigenvectors S, so
-    S^-1 = S^dag, and L on (a, z) is Hermitian too.  An oblique projector
-    takes eig and inverts S.
+    range(Q) = ker P, so one SVD P = U s V^dag of rank r gives orthonormal
+    u_p = U[:, :r] and u_q = V[:, r:], B = [u_p u_q] has the inverse
+    [u_p^dag P; u_q^dag Q], and the split is B^-1 L B.  An orthogonal
+    projector, P Hermitian to HERMITICITY_TOL, makes QLQ Hermitian: eigh
+    gives real lam and unitary S^-1 = S^dag, and L on (a, z) is Hermitian
+    too.  An oblique projector takes eig and inverts S.
     """
     p = state_map(np.asarray(pi, dtype=complex))
-    lm = liouville.superop
-    q = np.eye(p.shape[0], dtype=complex) - p
-    u_p, u_q = _range_basis(p), _range_basis(q)
-    qlq = u_q.conj().T @ (q @ lm @ q) @ u_q
+    u, s, vh = np.linalg.svd(p)
+    r = int(np.sum(s > 1e-10 * max(1.0, float(s[0]))))
+    # u_p^dag P = s V^dag on range(P), and u_q^dag Q = u_q^dag (1 - P)
+    b_inv = np.vstack([s[:r, None] * vh[:r], vh[r:] - vh[r:] @ p])
+    blocks = b_inv @ liouville.superop @ np.hstack([u[:, :r], vh[r:].conj().T])
     unitary = hermitian_deviation(p) <= HERMITICITY_TOL
-    if unitary:
-        lam, smat = np.linalg.eigh(qlq)
-        s_inv = smat.conj().T
-    else:
-        lam, smat = np.linalg.eig(qlq)
-        s_inv = np.linalg.inv(smat)
-    to_a, to_z = u_p.conj().T, s_inv @ u_q.conj().T
-    return _PQSystem(basis=u_p, plp=to_a @ (p @ lm @ p) @ u_p, lam=lam,
-                     into_modes=to_z @ (q @ lm @ p) @ u_p,
-                     from_modes=to_a @ (p @ lm @ (u_q @ smat)),
-                     coords=np.vstack([to_a @ p, to_z @ q]), unitary=unitary)
+    lam, smat = (np.linalg.eigh if unitary else np.linalg.eig)(blocks[r:, r:])
+    s_inv = smat.conj().T if unitary else np.linalg.inv(smat)
+    return _PQSystem(basis=u[:, :r], plp=blocks[:r, :r], lam=lam,
+                     into_modes=s_inv @ blocks[r:, :r],
+                     from_modes=blocks[:r, r:] @ smat, unitary=unitary,
+                     coords=np.vstack([b_inv[:r], s_inv @ b_inv[r:]]))
 
 
 def _growth(rates):

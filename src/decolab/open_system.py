@@ -53,8 +53,6 @@ __all__ = [
     "preferred_basis",
 ]
 
-SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
-
 # caps for the spin-bath scenario; full state dimension is 2^(n+1)
 SPIN_CAP = 14          # state-vector path
 DENSE_SPIN_CAP = 10    # dense (H, rho0) materialization

@@ -5,6 +5,7 @@ same deterministic producer yields byte-identical files.
 """
 
 import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,7 +83,11 @@ class TimeSeries:
             names = header.split(",")
             if not names or names[0] != "t":
                 raise ValueError(f"{path}: first column must be 't', got {header!r}")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        if not data.size:
+            raise ValueError(f"{path}: no data rows")
         if data.shape[1] != len(names):
             raise ValueError(
                 f"{path}: {data.shape[1]} data columns vs {len(names)} header names"

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -161,6 +162,8 @@ class TestFlags:
         assert captured.err == (
             "error: [tolerances] key 'weak_limit_epsilon': "
             "fit reads only fit_floor_log\n")
+        # the parser is shared between calls: the override does not stay
+        assert main(["fit", "--series", str(out / "toy.csv")]) == 0
 
     def test_percent_in_config_value_names_the_key(self, tmp_path, capsys):
         cfg = write(tmp_path, TOY_CONFIG + "[tolerances]\n"
@@ -220,6 +223,16 @@ class TestFitCommand:
         code = main(["fit", "--series", str(path)])
         assert code == 2
         assert "--channel" in capsys.readouterr().err
+
+    def test_header_without_rows_is_refused(self, tmp_path, capsys):
+        # refused by name, with no numpy warning on the way
+        path = tmp_path / "empty.csv"
+        path.write_text("t,offdiag_modulus\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["fit", "--series", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: no data rows\n"
 
     def test_unknown_channel_is_an_error(self, tmp_path, capsys):
         cfg = write(tmp_path, TOY_CONFIG, "toy.ini")
