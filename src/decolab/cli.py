@@ -132,7 +132,10 @@ def _cmd_compare(args):
         if path.resolve() == out_path.resolve():
             continue
         with open(path) as fh:
-            summaries.append(json.load(fh))
+            summary = json.load(fh)
+        if not isinstance(summary, dict) or {"t_D", "t_R"} - summary.keys():
+            raise ValueError(f"{path}: not a summary with t_D and t_R")
+        summaries.append(summary)
     report = ordering_report(summaries)
     print(report.text())
     with open(out_path, "w") as fh:

@@ -104,8 +104,9 @@ def _window_fit(times, env, powers, floor_log):
     MIN_DECAY_FACTOR is refused, and one without a decaying fit in its
     window gives a no-fit result.
     """
-    if not math.isfinite(floor_log):
-        raise ValueError(f"floor_log must be finite, got {floor_log}")
+    if not -math.inf < floor_log < 0:  # ln(env/max) <= 0, and not NaN
+        raise ValueError(
+            f"floor_log must be negative and finite, got {floor_log}")
     amax = float(env.max())
     if env[-1] * MIN_DECAY_FACTOR > amax:
         return FitResult(None, None, None, None,

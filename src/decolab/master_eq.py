@@ -18,14 +18,14 @@ the exactly evolved state.  The P/Q split is one similarity B^-1 L B,
 B = [u_p u_q] spanning range(P) and range(Q) = ker P from one SVD of P.
 The convolution is realized by auxiliary memory modes (the eigenmodes of
 QLQ on range(Q)), which reproduces the memory integral exactly rather
-than by kernel sampling; an optional finite memory window truncates the
-integral explicitly and says so.  An orthogonal projector (P = P^dag:
-the partial trace, the diagonal projector) makes QLQ and the memory
-system Hermitian, so they are diagonalized by eigh with real frequencies
-and unitary eigenvectors; an oblique projector takes the general eig and
-inverts its eigenvectors.  The windowed delay equation is solved exactly
-too, by the method of steps with a Taylor series; no decolab module
-imports scipy.
+than by kernel sampling.  An orthogonal projector (P = P^dag: the
+partial trace, the diagonal projector) makes QLQ and the memory system
+Hermitian, so they are diagonalized by eigh with real frequencies and
+unitary eigenvectors; an oblique projector takes the general eig and
+inverts its eigenvectors.  An optional finite memory window truncates
+the integral explicitly and says so, and is refused where QLQ has a
+growing mode; the windowed delay equation is solved exactly too, by the
+method of steps with a Taylor series.  No decolab module imports scipy.
 
 The module also carries a small dissipative generator (not of
 commutator form) whose coherence-decay and population-relaxation rates
@@ -318,10 +318,11 @@ def evolve_nakajima_zwanzig(rho0, pi, liouville, times, kernel_window=None):
     The method of steps solves it exactly: segment j of the time axis is
     column j of one array, driven by column j - 1, and all columns advance
     together by a truncated Taylor series.  A window at least the horizon
-    long truncates nothing and takes the closed form; a shorter one warns
-    with a bound on the dropped tail that grows with the QLQ modes, needs
-    strictly increasing times, and refuses a record that overflows.  A
-    window that is not positive is refused.
+    long truncates nothing and takes the closed form.  A shorter one is
+    refused with ``FloatingPointError`` naming the rate where QLQ has a
+    growing mode (oblique projectors only), or else warns with a bound on
+    the dropped tail and needs strictly increasing times.  A window that
+    is not positive is refused.
     """
     if kernel_window is not None and not kernel_window > 0:
         # written as "not > 0" so that a NaN window is refused too
@@ -342,25 +343,22 @@ def evolve_nakajima_zwanzig(rho0, pi, liouville, times, kernel_window=None):
         az = _propagate(g, start, times - t0, hermitian=pq.unitary)
         return _coarse_states(pq.basis @ az[:, :na].T)
 
-    # |K(tau)| <= |from| |into| e^{rate tau}: the history older than the
-    # window is bounded by its integral over [w, horizon], the span itself
-    # when no mode grows
+    # a growing QLQ mode leaves the dropped history unbounded
     rate, modes = _growth(pq.lam.imag)
-    grow, span = kernel_window * rate, horizon - kernel_window
-    tail = np.exp(grow) * np.expm1(rate * span) / rate if rate else span
+    if rate > LIOUVILLIAN_TOL:
+        raise FloatingPointError(f"windowed route refused: {modes}")
+    # |K(tau)| <= |from| |into| over the lags [w, horizon] it drops
     drop = (np.linalg.norm(pq.from_modes, 2)
-            * np.linalg.norm(pq.into_modes, 2) * tail)
+            * np.linalg.norm(pq.into_modes, 2) * (horizon - kernel_window))
     warnings.warn(
         f"memory window {kernel_window} is shorter than the horizon "
-        f"{horizon}; dropped-tail bound ~ {drop:.3e} * sup|y|"
-        + (f"; {modes}" if rate > LIOUVILLIAN_TOL else ""),
+        f"{horizon}; dropped-tail bound ~ {drop:.3e} * sup|y|",
         RuntimeWarning, stacklevel=2)
     if np.any(np.diff(times) <= 0):
         raise ValueError("sample times must be strictly increasing")
-    # column j is (a, z, r)(t0 + j w + s) e^{-j grow}, r = D^j e^{-iQLQ s}
-    # Q|rho_0) the source, driven by +i from D (z_{j-1} - r_{j-1}): so a
-    # growing D (oblique projectors) does not set the step, |L| <= bound
-    feed = 1j * pq.from_modes * np.exp(-1j * pq.lam * kernel_window - grow)
+    # column j is (a, z, r)(t0 + j w + s), r = D^j e^{-iQLQ s} Q|rho_0)
+    # the source, driven by +i from D (z_{j-1} - r_{j-1}), D = e^{-iQLQ w}
+    feed = 1j * pq.from_modes * np.exp(-1j * pq.lam * kernel_window)
     bound = np.linalg.norm(g, 2) + np.sqrt(2) * np.linalg.norm(feed, 2)
 
     def step(v):
@@ -372,18 +370,13 @@ def evolve_nakajima_zwanzig(rho0, pi, liouville, times, kernel_window=None):
     seg = np.maximum(np.ceil((times - t0) / kernel_window).astype(int) - 1, 0)
     v0 = np.concatenate([start, start[na:]])[:, None]
     v, s, out = v0, 0.0, []
-    try:
-        for j in range(seg[-1] + 1):
-            for stop in times[seg == j] - t0 - j * kernel_window:
-                v, s = _taylor(step, v, stop - s, bound), stop
-                out.append(v[:na, -1] * np.exp(grow * j))
-            if j < seg[-1]:  # the end of segment j starts segment j + 1
-                v = _taylor(step, v, kernel_window - s, bound) * np.exp(-grow)
-                v, s = np.hstack([v0, v]), 0.0
-        if not np.isfinite(out).all():  # the e^{grow j} rescale alone
-            raise FloatingPointError("record overflows")
-    except FloatingPointError as err:  # a Taylor term or the record
-        raise FloatingPointError(f"windowed route overflows: {modes}") from err
+    for j in range(seg[-1] + 1):
+        for stop in times[seg == j] - t0 - j * kernel_window:
+            v, s = _taylor(step, v, stop - s, bound), stop
+            out.append(v[:na, -1])
+        if j < seg[-1]:  # the end of segment j starts segment j + 1
+            v = _taylor(step, v, kernel_window - s, bound)
+            v, s = np.hstack([v0, v]), 0.0
     return _coarse_states(pq.basis @ np.array(out).T)
 
 

@@ -80,7 +80,8 @@ _FINITE = (math.isfinite, "must be finite")
 # each tolerance's (default, check, why)
 _TOLERANCES = {
     "weak_limit_epsilon": (1e-3, *_POSITIVE),
-    "fit_floor_log": (fits.FIT_FLOOR_LOG, *_FINITE),
+    "fit_floor_log": (fits.FIT_FLOOR_LOG, lambda x: -math.inf < x < 0,
+                      "must be negative and finite"),
 }
 # per kind, each key's (cast, default or _REQUIRED, check or None, why)
 _PARAMS = {

@@ -132,8 +132,11 @@ class TestFlags:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("override", ["fit_floor_log=nan",
-                                          "fit_floor_log=inf", "nope=3"])
+    # ln(env/max) <= 0: a floor at or above 0 would cut every fit to its
+    # 4-sample minimum prefix and still report "ok"
+    @pytest.mark.parametrize("override", [
+        "fit_floor_log=nan", "fit_floor_log=inf", "fit_floor_log=0",
+        "fit_floor_log=-0.0", "fit_floor_log=3.0", "nope=3"])
     def test_fit_refuses_an_override_as_run_does(self, tmp_path, capsys,
                                                  override):
         cfg = write(tmp_path, TOY_CONFIG, "toy.ini")
@@ -144,6 +147,7 @@ class TestFlags:
                      "--tol-override", override])
         run_err = capsys.readouterr().err
         assert code == 2 and run_err.startswith("error: ")
+        assert f"'{override.partition('=')[0]}'" in run_err
         code = main(["fit", "--series", str(out / "toy.csv"),
                      "--tol-override", override])
         captured = capsys.readouterr()
@@ -286,6 +290,41 @@ class TestCompareCommand:
         code = main(["compare", "--reports", str(reports)])
         capsys.readouterr()
         assert code == 1
+
+    def test_earlier_comparison_is_not_read_as_a_summary(self, tmp_path,
+                                                          capsys):
+        # compare --out elsewhere finds the comparison.json of a plain
+        # compare in the directory: it is no summary, and is refused
+        reports = tmp_path / "reports"
+        main(["run", "--config", write(tmp_path, TOY_CONFIG, "toy.ini"),
+              "--out", str(reports)])
+        assert main(["compare", "--reports", str(reports)]) == 0
+        capsys.readouterr()
+        other = tmp_path / "other.json"
+        code = main(["compare", "--reports", str(reports),
+                     "--out", str(other)])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out and not other.exists()
+        assert captured.err == (f"error: {reports / 'comparison.json'}: "
+                                "not a summary with t_D and t_R\n")
+
+    @pytest.mark.parametrize("text", ["[1]", "3", '{"t_D": 1.0}'],
+                             ids=["array", "number", "no-t_R"])
+    def test_json_that_is_not_a_summary_is_refused(self, tmp_path, capsys,
+                                                   text):
+        # exit 2, the refusal, and not 1, which says the ordering failed
+        reports = tmp_path / "reports"
+        reports.mkdir()
+        (reports / "a.json").write_text(json.dumps(
+            {"scenario": "a", "kind": "master-eq-toy",
+             "t_D": 1.0, "t_R": 2.0}))
+        (reports / "b.json").write_text(text)
+        code = main(["compare", "--reports", str(reports)])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert captured.err == (f"error: {reports / 'b.json'}: "
+                                "not a summary with t_D and t_R\n")
+        assert not (reports / "comparison.json").exists()
 
     def test_empty_reports_dir_is_an_error(self, tmp_path, capsys):
         reports = tmp_path / "reports"

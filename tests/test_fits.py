@@ -101,10 +101,12 @@ class TestDecoherenceFit:
         assert abs(fit.value - 1.0) <= 0.1
 
 
-@pytest.mark.parametrize("floor_log", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("floor_log",
+                         [math.nan, math.inf, -math.inf, 0.0, -0.0, 3.0])
 @pytest.mark.parametrize("fit", [fit_decoherence_time, fit_relaxation_time])
 def test_rejects_non_finite_floor_log(fit, floor_log):
-    # a NaN floor would silently fit the whole record
+    # a NaN floor would silently fit the whole record; ln(env/max) <= 0, so
+    # a floor >= 0 would fit only the 4-sample minimum prefix
     t = np.linspace(0, 30, 600)
     with pytest.raises(ValueError, match="floor_log"):
         fit(t, np.exp(-t / 5), floor_log=floor_log)

@@ -417,55 +417,53 @@ class TestNakajimaZwanzig:
 
     def test_windowed_overflow_refused(self):
         # the same case: QLQ has the eigenvalue 158i, so D = e^{-iQLQ w}
-        # alone passes 1e308 at w = 4.5 and the windowed record overflows
+        # alone passes 1e308 at w = 4.5.  The route refuses before it
+        # warns or steps, naming the rate
         rho0, pi, h = oblique_sweep_case(103)
-        with pytest.warns(RuntimeWarning), \
-                pytest.raises(FloatingPointError, match="overflows"):
-            evolve_nakajima_zwanzig(rho0, pi, build_liouvillian(h),
-                                    np.linspace(0.0, 10.0, 21),
-                                    kernel_window=4.5)
-
-    def test_overflow_inside_a_taylor_series_refused(self):
-        # seed 151: d = 4, rank 8 and a QLQ eigenvalue 2.06e3i.  The record
-        # overflows inside the first segment's Taylor series, whose terms
-        # turn to NaN: the overflow refusal, not a convergence failure
-        rho0, pi, h = oblique_sweep_case(151)
-        assert rho0.shape == (4, 4) and np.linalg.matrix_rank(pi) == 8
-        with pytest.warns(RuntimeWarning), pytest.raises(
-                FloatingPointError, match=r"overflows: .*e\^\(2.06e\+03 t\)"):
-            evolve_nakajima_zwanzig(rho0, pi, build_liouvillian(h),
-                                    np.linspace(0.0, 10.0, 21),
-                                    kernel_window=4.5)
-
-    def test_truncation_bound_covers_growing_modes(self):
-        # seed 68: QLQ has the eigenvalue 2.81i, so the kernel grows like
-        # e^{2.81 tau}.  The quoted tail bound must cover the integral of
-        # |K(tau)| over the dropped lags [w, horizon], and name the rate
-        rng = np.random.default_rng(68)
-        pi = oblique_projector(rng)
-        h = random_hermitian(rng, 2)
-        rho0 = random_density(rng, 2)
-        lv = build_liouvillian(h)
-        with pytest.warns(RuntimeWarning,
-                          match=r"growing like e\^\(2.81 t\)") as caught:
-            evolve_nakajima_zwanzig(rho0, pi, lv, np.linspace(0.0, 10.0, 21),
-                                    kernel_window=4.5)
-        bound = float(re.search(r"bound ~ (\S+)", str(caught[0].message))[1])
-        taus = np.linspace(4.5, 10.0, 2001)
-        norms = np.linalg.norm(memory_kernel(pi, lv, taus).matrices, 2,
-                               axis=(1, 2))
-        assert np.trapezoid(norms, taus) <= bound
-        # an orthogonal projector has a Hermitian QLQ and no growing
-        # mode: none is named
-        for system in ("eid-2x2", "diag-3"):
-            rho0, pi, h = windowed_sweep_system(system)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError,
+                               match=r"refused: .*e\^\(158 t\)"):
                 evolve_nakajima_zwanzig(rho0, pi, build_liouvillian(h),
                                         np.linspace(0.0, 10.0, 21),
                                         kernel_window=4.5)
-            assert "bound" in str(caught[0].message)
-            assert "growing" not in str(caught[0].message)
+
+    def test_overflow_inside_a_taylor_series_refused(self):
+        # seed 151: d = 4, rank 8 and a QLQ eigenvalue 2.06e3i, whose
+        # record would overflow inside the first segment's Taylor series:
+        # refused up front, naming the rate
+        rho0, pi, h = oblique_sweep_case(151)
+        assert rho0.shape == (4, 4) and np.linalg.matrix_rank(pi) == 8
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError,
+                               match=r"refused: .*e\^\(2.06e\+03 t\)"):
+                evolve_nakajima_zwanzig(rho0, pi, build_liouvillian(h),
+                                        np.linspace(0.0, 10.0, 21),
+                                        kernel_window=4.5)
+
+    def test_truncation_bound_covers_growing_modes(self):
+        # no QLQ mode grows in these systems (in the orthogonal ones, eigh
+        # makes every rate exactly 0), so |K(tau)| <= |from| |into| and the
+        # quoted tail bound must cover the integral of |K(tau)| over the
+        # dropped lags [w, horizon]
+        taus = np.linspace(4.5, 10.0, 2001)
+        for system in ("eid-2x2", "diag-3", "oblique"):
+            rho0, pi, h = windowed_sweep_system(system)
+            lv = build_liouvillian(h)
+            rates = _pq_system(pi, lv).lam.imag
+            assert rates.max() <= 0.0
+            if system != "oblique":
+                assert not rates.any()
+            with pytest.warns(RuntimeWarning, match="bound") as caught:
+                evolve_nakajima_zwanzig(rho0, pi, lv,
+                                        np.linspace(0.0, 10.0, 21),
+                                        kernel_window=4.5)
+            bound = float(re.search(r"bound ~ (\S+)",
+                                    str(caught[0].message))[1])
+            norms = np.linalg.norm(memory_kernel(pi, lv, taus).matrices, 2,
+                                   axis=(1, 2))
+            assert 0 < np.trapezoid(norms, taus) <= bound
 
     def test_windowed_route_without_a_q_sector(self):
         # pi = 1 eliminates nothing: there is no memory to truncate, and
@@ -624,23 +622,47 @@ class TestNakajimaZwanzig:
 
     @pytest.mark.parametrize("window", [2.5, 4.5])
     def test_windowed_route_with_growing_modes(self, window):
-        # QLQ on this oblique range(Q) has the eigenvalue 2.81i, so D =
-        # e^{-iQLQ w} grows like e^{2.81 w} and y reaches 1e11 by t = 10;
-        # column j is held scaled by max|D|^-j, or the Taylor step count
-        # would grow like e^{2.81 w} as well
+        # QLQ on this oblique range(Q) has the eigenvalue 2.81i, so the
+        # kernel and the dropped tail grow like e^{2.81 tau}: the route
+        # refuses, naming the rate, and does not warn first
         rng = np.random.default_rng(68)
         pi = oblique_projector(rng)
         h = random_hermitian(rng, 2)
         rho0 = random_density(rng, 2)
-        lv = build_liouvillian(h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError,
+                               match=r"growing like e\^\(2.81 t\)"):
+                evolve_nakajima_zwanzig(rho0, pi, build_liouvillian(h),
+                                        np.linspace(0.0, 10.0, 21),
+                                        kernel_window=window)
+
+    def test_windowed_oblique_sweep(self):
+        # w = 4.5 on the 200 seeds of the oblique sweep: exactly the seeds
+        # whose QLQ has a growing mode (144) are refused, and every other
+        # record lands on the method-of-steps chain (measured 2.3e-12
+        # relative to its largest entry)
         times = np.linspace(0.0, 10.0, 21)
-        with pytest.warns(RuntimeWarning, match="window"):
-            got = evolve_nakajima_zwanzig(rho0, pi, lv, times,
-                                          kernel_window=window)
-        want = windowed_chain_reference(pi, lv, vec(rho0), times, window)
-        # relative to the largest entry: measured 1.5e-14
-        assert max(np.max(np.abs(vec(a.matrix) - y))
-                   for a, y in zip(got, want)) <= 1e-12 * np.max(np.abs(want))
+        refused, growing, worst = set(), set(), 0.0
+        for seed in range(200):
+            rho0, pi, h = oblique_sweep_case(seed)
+            lv = build_liouvillian(h)
+            if _pq_system(pi, lv).lam.imag.max() > master_eq.LIOUVILLIAN_TOL:
+                growing.add(seed)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                try:
+                    got = evolve_nakajima_zwanzig(rho0, pi, lv, times,
+                                                  kernel_window=4.5)
+                except FloatingPointError:
+                    refused.add(seed)
+                    continue
+            want = windowed_chain_reference(pi, lv, vec(rho0), times, 4.5)
+            worst = max(worst, max(np.max(np.abs(vec(a.matrix) - y))
+                                   for a, y in zip(got, want))
+                        / np.max(np.abs(want)))
+        assert refused == growing and len(growing) == 144
+        assert worst <= 1e-11
 
     def test_taylor_refuses_a_partial_sum(self):
         # a bound far below |L| leaves the series of a substep unconverged
@@ -651,6 +673,15 @@ class TestNakajimaZwanzig:
         with pytest.raises(RuntimeError, match="Taylor"):
             _taylor(lambda v: gen @ v, np.ones((2, 1), dtype=complex),
                     1.0, 1.0)
+
+    def test_taylor_refuses_an_overflow(self):
+        # a first term that is already inf: the overflow raises instead of
+        # summing to inf or NaN
+        from decolab.master_eq import _taylor
+
+        with np.errstate(over="ignore"), \
+                pytest.raises(FloatingPointError, match="overflows"):
+            _taylor(lambda v: v * 1e308, np.full((2, 1), 1e308), 1.0, 1.0)
 
     @pytest.mark.parametrize("window", [0.0, -1.0, np.nan])
     def test_nonpositive_window_refused(self, window):
