@@ -132,7 +132,10 @@ def _cmd_compare(args):
         if path.resolve() == out_path.resolve():
             continue
         with open(path) as fh:
-            summary = json.load(fh)
+            try:
+                summary = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: not JSON ({exc})") from exc
         if not isinstance(summary, dict) or {"t_D", "t_R"} - summary.keys():
             raise ValueError(f"{path}: not a summary with t_D and t_R")
         summaries.append(summary)

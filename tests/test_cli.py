@@ -326,6 +326,18 @@ class TestCompareCommand:
                                 "not a summary with t_D and t_R\n")
         assert not (reports / "comparison.json").exists()
 
+    def test_json_that_does_not_parse_is_refused_by_name(self, tmp_path,
+                                                         capsys):
+        reports = tmp_path / "reports"
+        reports.mkdir()
+        (reports / "x.json").write_text("{oops")
+        code = main(["compare", "--reports", str(reports)])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert captured.err.startswith(
+            f"error: {reports / 'x.json'}: not JSON (Expecting property name")
+        assert not (reports / "comparison.json").exists()
+
     def test_empty_reports_dir_is_an_error(self, tmp_path, capsys):
         reports = tmp_path / "reports"
         reports.mkdir()

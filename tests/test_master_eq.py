@@ -267,6 +267,48 @@ class TestEvolveMasterExact:
             projected = unvec(pi @ vec(want[k]))
             assert np.max(np.abs(got[k].matrix - projected)) <= 1e-8
 
+    # the recurrence groups steps by exact float equality, so each grid
+    # has its own set of distinct steps.  The comments give the number of
+    # distinct steps and the gap to unitary-then-project measured here
+    # (d = 6, eid_projector(2, 3)): the cumulative sum carries roundoff
+    # across samples, so T up to 2000 and t up to 200 are among them
+    IRREGULAR = {
+        # 199 steps, all distinct: 2.5e-15
+        "sorted-random": np.sort(np.random.default_rng(5).uniform(0, 10, 200)),
+        # 93 distinct steps, both signs: 2.4e-15
+        "shuffled-linspace": np.random.default_rng(6).permutation(
+            np.linspace(0.0, 10.0, 101)),
+        # 2 distinct steps, one of them 0: 1.3e-15
+        "repeated": np.repeat(np.linspace(0.0, 5.0, 11), 3),
+        # 3 distinct steps, all negative: 4.0e-15
+        "descending": np.linspace(10.0, 0.0, 51),
+        # no step: 1.7e-16
+        "single": np.array([2.5]),
+        # 13 distinct steps among 1999: 2.7e-15
+        "linspace-2000": np.linspace(0.0, 10.0, 2000),
+        # 1 distinct step, t <= 200: 7.6e-14
+        "linspace-t200": np.linspace(0.0, 200.0, 401),
+    }
+
+    @pytest.mark.parametrize("name", list(IRREGULAR))
+    def test_irregular_grid_matches_unitary_then_project(self, name):
+        times = self.IRREGULAR[name]
+        h, rho0 = eid_fixture(np.random.default_rng(3), 2, 3)
+        pi = eid_projector(2, 3)
+        got = evolve_master_exact(rho0, pi, build_liouvillian(h), times)
+        want = evolve_unitary(rho0, h, times - times[0])
+        assert len(got) == len(times)
+        gap = max(np.max(np.abs(a.matrix - coarse_grain(r, pi).matrix))
+                  for a, r in zip(got, want))
+        assert gap <= 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_time_is_refused(self, bad):
+        h, rho0 = eid_fixture(np.random.default_rng(3), 2, 2)
+        with pytest.raises(ValueError, match="times must be finite"):
+            evolve_master_exact(rho0, eid_projector(2, 2),
+                                build_liouvillian(h), [0.0, bad, 1.0])
+
     def test_commuting_projector_keeps_projected_purity(self):
         rng = np.random.default_rng(12)
         h = np.diag(rng.uniform(0, 2, 4)).astype(complex)
@@ -281,7 +323,7 @@ class TestEvolveMasterExact:
 
     def test_oblique_sweep_matches_unitary_then_project(self):
         # the 200 seeds cover every (d, rank) with d <= 4.  Worst gaps
-        # measured: the exact route 1.29e-11, the memory route 9.7e-7, both
+        # measured: the exact route 1.37e-11, the memory route 9.7e-7, both
         # at seed 151
         times = np.linspace(0.0, 10.0, 21)
         pairs, worst, worst_memory = set(), 0.0, 0.0
@@ -729,6 +771,8 @@ with warnings.catch_warnings():
     warnings.simplefilter("ignore", RuntimeWarning)  # the truncation
     master_eq.evolve_nakajima_zwanzig(rho0, eid_projector(2, 2), lv, times,
                                       kernel_window=1.5)
+# np.unique on floats would import numpy.ma, 1.3 MB of peak RSS
+assert "numpy.ma" not in sys.modules
 print(json.dumps(sorted(m for m in sys.modules
                         if m == "scipy" or m.startswith("scipy."))))
 """
