@@ -157,12 +157,15 @@ def hermitian_deviation(m):
 def require_hermitian(m, tol, what):
     """Return ``m`` as an array; raise unless max |M - M^dag| <= ``tol``.
 
-    The one Hermiticity check of the package: observables, states,
-    kernels, commutator superoperators and the projectors of the P/Q
-    split all go through it or its :func:`hermitian_deviation`, each with
-    its own tolerance.  ``what`` names the operand in the error.
+    The one Hermiticity check of the package: observables (Hamiltonians
+    among them), states, kernels and the projectors of the P/Q split all
+    go through it or its :func:`hermitian_deviation`, each with its own
+    tolerance.  An operand that is not a square 2-D array raises
+    :class:`DimensionMismatchError`.  ``what`` names the operand in the error.
     """
     m = np.asarray(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatchError(f"{what} shape {m.shape} is not square")
     dev = hermitian_deviation(m)
     if dev > tol:
         raise InvalidStateError(

@@ -36,7 +36,7 @@ ordering; nothing in the projection machinery depends on it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,7 +45,6 @@ from .liouville import (
     CoarseState,
     DimensionMismatchError,
     hermitian_deviation,
-    require_hermitian,
     state_map,
     unvec,
     validate_observable,
@@ -68,53 +67,46 @@ __all__ = [
 # windowed route: Taylor substeps |L h| <= THETA end their series by term 33
 TAYLOR_THETA = 4.0
 TAYLOR_TERMS = 40
-# Hermiticity and identity-annihilation tolerance of a Liouvillian
+# growth rate above which the windowed route refuses a QLQ mode as growing
 LIOUVILLIAN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class Liouvillian:
-    """Superoperator of i d|rho)/dt = L|rho) with L|rho) = [H, rho].
+    """i d|rho)/dt = L|rho) with L|rho) = [H, rho], held as its Hamiltonian.
 
-    L inherits Hermiticity from H (so its spectrum is real: the Bohr
-    frequency differences), it annihilates the identity, and e^{-iLt}
-    is the unitary conjugation group on operators.
+    ``hamiltonian`` is validated once and frozen; ``superop`` is derived
+    from it as L = I (x) H - H^T (x) I in column-stacking vectorization.
+    L is Hermitian for a Hermitian H and annihilates the identity by
+    construction, and e^{-iLt} is the unitary conjugation group on
+    operators.
     """
 
-    superop: np.ndarray
+    hamiltonian: np.ndarray
+    superop: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        m = np.asarray(self.superop, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatchError(
-                f"superoperator shape {m.shape} is not square"
-            )
-        d2 = m.shape[0]
-        d = int(round(np.sqrt(d2)))
-        if d * d != d2:
-            raise DimensionMismatchError(
-                f"superoperator size {d2} is not a squared dimension"
-            )
-        # Hermitian, so that its Bohr spectrum is real
-        require_hermitian(m, LIOUVILLIAN_TOL, "commutator superoperator")
-        resid = float(np.max(np.abs(m @ vec(np.eye(d)))))
-        if resid > LIOUVILLIAN_TOL:
-            raise ValueError(f"L does not annihilate the identity: {resid:.3e}")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "superop", m)
+        h = validate_observable(np.array(self.hamiltonian, dtype=complex))
+        eye = np.eye(h.shape[0], dtype=complex)
+        superop = np.kron(eye, h) - np.kron(h.T, eye)
+        for name, m in (("hamiltonian", h), ("superop", superop)):
+            m.setflags(write=False)
+            object.__setattr__(self, name, m)
 
-    def spectrum(self):
-        """Real eigenvalues (the Bohr frequency differences)."""
-        return np.linalg.eigvalsh(self.superop)
+    def eigensystem(self):
+        """L = V diag(E) V^dag from one eigh of H = U diag(e) U^dag.
+
+        In vec order j d + i, E = e_i - e_j (the Bohr frequencies) and
+        V = kron(conj(U), U), whose column is conj(u_j) (x) u_i =
+        vec(u_i u_j^dag); V is unitary.
+        """
+        e, u = np.linalg.eigh(self.hamiltonian)
+        return np.subtract.outer(e, e).ravel(order="F"), np.kron(u.conj(), u)
 
 
 def build_liouvillian(hamiltonian):
-    """L = I (x) H - H^T (x) I in column-stacking vectorization."""
-    h = np.asarray(hamiltonian, dtype=complex)
-    validate_observable(h)
-    eye = np.eye(h.shape[0], dtype=complex)
-    return Liouvillian(np.kron(eye, h) - np.kron(h.T, eye))
+    """The :class:`Liouvillian` of ``hamiltonian``."""
+    return Liouvillian(hamiltonian)
 
 
 def _check_sizes(pi, liouville, rho0=None):
@@ -122,8 +114,10 @@ def _check_sizes(pi, liouville, rho0=None):
     shape = liouville.superop.shape
     if np.shape(pi) != shape:
         raise DimensionMismatchError(f"projector shape {np.shape(pi)} vs L {shape}")
-    if rho0 is not None and np.size(rho0) != shape[0]:
-        raise DimensionMismatchError("projector does not match state dimension")
+    if rho0 is not None and np.shape(rho0) != liouville.hamiltonian.shape:
+        raise DimensionMismatchError(
+            "projector does not match state dimension: state shape "
+            f"{np.shape(rho0)} vs H {liouville.hamiltonian.shape}")
 
 
 def defect(pi, liouville):
@@ -183,7 +177,8 @@ def evolve_master_exact(rho0, pi, liouville, times):
 
     From |rho_G(t0)) = P|rho_0), with the feedback |rho(t)) =
     e^{-iL(t - t0)}|rho_0): time is measured from t0 = times[0].  Duhamel's
-    formula in the eigenbasis L = V E V^dag gives, with c = M o x,
+    formula in the eigenbasis L = V E V^dag, read from one eigh of H by
+    :meth:`Liouvillian.eigensystem`, gives, with c = M o x,
     M = V^dag N V, x = V^dag|rho_0) and s = t - t0, the interaction-picture
     state w(s) = e^{iEs} o y(s) as
 
@@ -210,7 +205,7 @@ def evolve_master_exact(rho0, pi, liouville, times):
         raise ValueError("times must be finite")
     if not times.size:
         return []
-    evals, vmat = np.linalg.eigh(liouville.superop)
+    evals, vmat = liouville.eigensystem()
     source = (vmat.conj().T @ n @ vmat) * (vmat.conj().T @ x0)
     gaps = np.subtract.outer(evals, evals)
     s = times - times[0]

@@ -130,6 +130,14 @@ class TestValidation:
         with pytest.raises(InvalidStateError):
             validate_observable(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("o", [np.array([1.0, 2.0]), np.zeros((3, 4)),
+                                   np.zeros((2, 3, 3))],
+                             ids=["1-d", "3x4", "stacked"])
+    def test_observable_check_refuses_non_matrix(self, o):
+        with pytest.raises(DimensionMismatchError, match="not square") as err:
+            validate_observable(o)
+        assert f"observable shape {o.shape}" in str(err.value)
+
 
 class TestProjectorConstruction:
     def test_matrix_units_give_identity_superop(self):

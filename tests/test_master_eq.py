@@ -60,7 +60,30 @@ class TestLiouvillian:
         w = np.array([0.0, 1.0, 2.5])
         lv = build_liouvillian(np.diag(w))
         expected = np.sort(np.subtract.outer(w, w).ravel())
-        assert_allclose(np.sort(lv.spectrum()), expected, atol=1e-12)
+        assert_allclose(np.sort(lv.eigensystem()[0]), expected, atol=1e-12)
+
+    @pytest.mark.parametrize("h", [
+        *(random_hermitian(np.random.default_rng(40 + d), d)
+          for d in range(2, 10)),
+        np.eye(3), np.diag([0.0, 1.0, 1.0, 2.5])],
+        ids=[f"random-{d}" for d in range(2, 10)] + ["eye-3", "diag-0112.5"])
+    def test_eigensystem_diagonalizes_superop(self, h):
+        # oracle: the d^2 x d^2 superoperator itself, degenerate H included
+        lv = build_liouvillian(h)
+        evals, vmat = lv.eigensystem()
+        assert np.all(np.isreal(evals))
+        gram = vmat.conj().T @ vmat
+        assert np.max(np.abs(gram - np.eye(gram.shape[0]))) <= 1e-12
+        assert np.max(np.abs(lv.superop @ vmat - vmat * evals)) <= 1e-12
+
+    def test_holds_a_frozen_copy_of_h(self):
+        h = np.diag([0.0, 1.0, 2.5])
+        lv = Liouvillian(h)
+        h[0, 0] = 7.0
+        assert lv.hamiltonian[0, 0] == 0.0
+        for m in (lv.hamiltonian, lv.superop):
+            with pytest.raises(ValueError):
+                m[0, 0] = 1.0
 
     def test_action_matches_commutator_oracle(self):
         rng = np.random.default_rng(1)
@@ -83,8 +106,15 @@ class TestLiouvillian:
         assert np.max(np.abs(full.imag)) <= 1e-10
 
     def test_rejects_non_square(self):
-        with pytest.raises(Exception):
+        with pytest.raises(DimensionMismatchError):
             Liouvillian(np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("h", [np.array([1.0, 2.0]), np.zeros((3, 4)),
+                                   np.zeros((2, 3, 3))],
+                             ids=["1-d", "3x4", "stacked"])
+    def test_build_refuses_non_matrix(self, h):
+        with pytest.raises(DimensionMismatchError, match="not square"):
+            build_liouvillian(h)
 
 
 class TestDefect:
@@ -323,7 +353,7 @@ class TestEvolveMasterExact:
 
     def test_oblique_sweep_matches_unitary_then_project(self):
         # the 200 seeds cover every (d, rank) with d <= 4.  Worst gaps
-        # measured: the exact route 1.37e-11, the memory route 9.7e-7, both
+        # measured: the exact route 5.19e-12, the memory route 9.7e-7, both
         # at seed 151
         times = np.linspace(0.0, 10.0, 21)
         pairs, worst, worst_memory = set(), 0.0, 0.0
@@ -892,12 +922,15 @@ def test_orthogonal_projector_takes_the_unitary_split(kind, a, b):
 @pytest.mark.parametrize("solver", [evolve_master_exact,
                                     evolve_nakajima_zwanzig])
 def test_projector_state_dimension_mismatch_refused(solver):
+    # a qubit state against a qutrit L, and for d = 4 a state of d^2
+    # entries in another shape than (d, d)
     rng = np.random.default_rng(30)
-    lv = build_liouvillian(random_hermitian(rng, 3))
-    with pytest.raises(DimensionMismatchError, match="projector does not "
-                                                     "match state dimension"):
-        solver(random_density(rng, 2), diagonal_projector(3), lv,
-               np.linspace(0.0, 1.0, 3))
+    for d, rho0 in ((3, random_density(rng, 2)), (4, np.full((2, 8), 0.25)),
+                    (4, np.full(16, 0.25))):
+        lv = build_liouvillian(random_hermitian(rng, d))
+        with pytest.raises(DimensionMismatchError,
+                           match="projector does not match state dimension"):
+            solver(rho0, diagonal_projector(d), lv, np.linspace(0.0, 1.0, 3))
 
 
 @pytest.mark.parametrize("route", ["exact", "memory", "kernel"])

@@ -107,6 +107,13 @@ class TestLift:
         assert_allclose(np.trace(lift_observable(o, 4)), 4 * np.trace(o),
                         atol=1e-12)
 
+    @pytest.mark.parametrize("o", [np.array([1.0, 2.0]), np.zeros((3, 4)),
+                                   np.zeros((2, 3, 3))],
+                             ids=["1-d", "3x4", "stacked"])
+    def test_refuses_non_matrix(self, o):
+        with pytest.raises(DimensionMismatchError, match="not square"):
+            lift_observable(o, 2)
+
 
 class TestPartialTrace:
     def test_bell_state_maximally_mixed(self):
