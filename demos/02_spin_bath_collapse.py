@@ -1,8 +1,10 @@
 """Decoherence by tracing out a spin bath, checked against the closed form.
 
 A qubit couples to n bath spins through sigma_z (x) sigma_z terms only:
-pure dephasing.  The reduced coherence is an exact product of one-spin
-overlaps, so the full simulation has an independent answer to match.
+pure dephasing.  The library's route sums the bath's Born weights against
+e^{-i Omega t} over the 2^n bath energies Omega, as the product of two
+half-bath phase sums; the closed form multiplies n one-spin overlaps, so
+the two have to agree to roundoff.
 The couplings are incommensurate, which pushes recurrences out
 exponentially in n; inside that window the collapse looks irreversible.
 """

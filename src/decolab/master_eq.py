@@ -439,12 +439,12 @@ def evolve_linear_generator(generator, rho0, times):
     """
     g = np.asarray(generator, dtype=complex)
     rho0 = np.asarray(rho0, dtype=complex)
-    x0 = vec(rho0)
-    if g.shape != (x0.size, x0.size):
+    d = rho0.shape[0] if rho0.ndim else 0
+    if rho0.shape != (d, d) or g.shape != (d * d, d * d):
         raise DimensionMismatchError(
-            f"generator shape {g.shape} vs state length {x0.size}"
+            f"state shape {rho0.shape} vs generator shape {g.shape}: "
+            "need a d x d state and a d^2 x d^2 generator"
         )
     times = np.asarray(times, dtype=float)
-    d = rho0.shape[0]
-    return _propagate(g, x0, times).reshape(
+    return _propagate(g, vec(rho0), times).reshape(
         times.shape + (d, d)).swapaxes(-1, -2)

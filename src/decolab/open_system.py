@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .continuum import phase_sum
 from .liouville import (
     BiorthogonalBasis,
     DimensionMismatchError,
@@ -54,7 +55,7 @@ __all__ = [
 ]
 
 # caps for the spin-bath scenario; full state dimension is 2^(n+1)
-SPIN_CAP = 14          # state-vector path
+SPIN_CAP = 14          # half-bath phase sums (spin_bath_reduced_dynamics)
 DENSE_SPIN_CAP = 10    # dense (H, rho0) materialization
 # eigenvalue gap below which the preferred basis is flagged degenerate
 DEGENERACY_GAP = 1e-8
@@ -179,6 +180,15 @@ def _bath_energies(couplings):
     return e
 
 
+def _bath_amplitudes(angles):
+    """<b|prod_k theta_k> over the bath bit strings b, in the order of
+    :func:`_bath_energies`: a factor cos(theta_k/2) for bit 0, sin for 1."""
+    chi = np.ones(1)
+    for th in angles:
+        chi = np.multiply.outer(chi, [np.cos(th / 2), np.sin(th / 2)]).ravel()
+    return chi
+
+
 def spin_bath_hamiltonian_diagonal(params):
     """Diagonal of H in the computational product basis (length 2^(n+1)).
 
@@ -191,11 +201,8 @@ def spin_bath_hamiltonian_diagonal(params):
 
 def spin_bath_initial_vector(params):
     """Product initial vector (a|0> + b|1>) (x) prod_k |theta_k>."""
-    psi = np.array([params.amplitude_0, params.amplitude_1], dtype=complex)
-    for th in params.angles:
-        psi = np.kron(psi, np.array([np.cos(th / 2), np.sin(th / 2)],
-                                    dtype=complex))
-    return psi
+    return np.kron([params.amplitude_0, params.amplitude_1],
+                   _bath_amplitudes(params.angles))
 
 
 def _check_spin_cap(n):
@@ -211,8 +218,8 @@ def spin_bath_scenario(params):
 
     The state dimension is 2^(n+1).  Beyond DENSE_SPIN_CAP spins the dense
     matrices stop being desk-scale (GB-sized), so the call is refused and
-    the state-vector route (:func:`spin_bath_reduced_dynamics`, valid up
-    to SPIN_CAP) is pointed to instead.
+    the half-bath phase-sum route (:func:`spin_bath_reduced_dynamics`,
+    valid up to SPIN_CAP) is pointed to instead.
     """
     n = params.n_spins
     _check_spin_cap(n)
@@ -220,7 +227,7 @@ def spin_bath_scenario(params):
         raise ResourceCapError(
             f"dense matrices at {n} bath spins would be "
             f"{2 ** (n + 1)}x{2 ** (n + 1)}; use spin_bath_reduced_dynamics "
-            f"(state-vector route, cap {SPIN_CAP}) instead"
+            f"(half-bath phase-sum route, cap {SPIN_CAP}) instead"
         )
     h = np.diag(spin_bath_hamiltonian_diagonal(params)).astype(complex)
     psi = spin_bath_initial_vector(params)
@@ -229,35 +236,30 @@ def spin_bath_scenario(params):
 
 
 def spin_bath_reduced_dynamics(params, times):
-    """rho_S(t) from the full 2^(n+1)-dimensional simulation, no approximation.
+    """rho_S(t) of the full 2^(n+1)-dimensional simulation, no approximation.
 
-    H is diagonal, so psi(t)[s, b] = psi0[s, b] e^{-i z_s Omega_b t/2} with
-    Omega_b = sum_k g_k z_k over bath bit strings b.  The populations are
-    constants of motion, rho_ii = sum_b |psi0[i, b]|^2, and the coherence
-    is rho_01[t] = sum_b C[b] e^{-i Omega_b t}, C = psi0[0] conj(psi0[1]).
-    Omega splits over the bath halves, so e^{-i Omega t} is hi (x) lo, and
-    rho_01[t] = sum_ab hi[t,a] C[a,b] lo[t,b] over the full 2^n state.
-    The sums are numpy einsums, never BLAS, so the bytes do not depend on
-    the thread count; rho_10 = conj(rho_01).  Returns np.shape(times) + (2, 2).
+    H is diagonal, so the populations |a|^2 and |b|^2 are constants of
+    motion and the coherence is a b-bar sum_b w_b e^{-i Omega_b t}, with
+    Omega_b = sum_k g_k z_k and w_b the Born weights of the bath bit
+    string b.  Omega and w both split over the bath halves (Omega adds,
+    w multiplies), so the sum is the product of the two half-bath
+    :func:`~decolab.continuum.phase_sum` values: O(T 2^ceil(n/2)) work in
+    numpy einsums, never BLAS, so the bytes do not depend on the thread
+    count.  rho_10 = conj(rho_01).  Returns np.shape(times) + (2, 2).
     """
     _check_spin_cap(params.n_spins)
     times = np.asarray(times, dtype=float)
-    g = params.couplings
-    hi, lo = (np.exp(-1j * np.multiply.outer(times.ravel(),
-                                             _bath_energies(part)))
-              for part in (g[:len(g) // 2], g[len(g) // 2:]))
-    psi0 = spin_bath_initial_vector(params).reshape(2, hi.shape[1], -1)
-    # coherence: C lo as one real product on interleaved (re, im) pairs,
-    # each entry c standing as [[re c, -im c], [im c, re c]]
-    c = psi0[0] * psi0[1].conj()
-    block = np.array([[c.real, -c.imag], [c.imag, c.real]])
-    block = block.transpose(2, 0, 3, 1).reshape(2 * c.shape[0], -1)
-    y = np.einsum("ab,tb->ta", block, lo.view(float)).view(complex)
-    coh = np.einsum("ta,ta->t", hi, y)
-    out = np.empty((times.size, 2, 2), dtype=complex)
-    out[:, 0, 0], out[:, 1, 1] = np.sum(np.abs(psi0) ** 2, axis=(1, 2))
-    out[:, 0, 1], out[:, 1, 0] = coh, coh.conj()
-    return out.reshape(times.shape + (2, 2))
+    a, b = params.amplitude_0, params.amplitude_1
+    half = params.n_spins // 2
+    coh = a * np.conj(b)
+    for part in (slice(None, half), slice(half, None)):
+        coh = coh * phase_sum(_bath_energies(params.couplings[part]),
+                              _bath_amplitudes(params.angles[part]) ** 2,
+                              times)
+    out = np.empty(times.shape + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 1, 1] = abs(a) ** 2, abs(b) ** 2
+    out[..., 0, 1], out[..., 1, 0] = coh, np.conj(coh)
+    return out
 
 
 def spin_bath_coherence(params, times):

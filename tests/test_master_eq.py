@@ -1024,6 +1024,17 @@ class TestDissipativeToy:
             evolve_linear_generator(toy.generator, toy.rho0.tolist(), times),
             evolve_linear_generator(toy.generator, toy.rho0, times))
 
+    def test_misshapen_state_refused_by_shape(self):
+        # a 9x9 generator needs a 3x3 state; the (9,) and (1, 9) states
+        # have its size and the (3, 3, 1) one its leading 3x3 shape
+        for shape in ((9,), (1, 9), (3, 3, 1)):
+            rho0 = np.full(shape, 1 / 3)
+            with pytest.raises(DimensionMismatchError,
+                               match=re.escape(f"state shape {shape}")):
+                evolve_linear_generator(np.eye(9), rho0, [0.0, 1.0])
+        assert evolve_linear_generator(
+            np.eye(9), np.full((3, 3), 1 / 3), [0.0, 1.0]).shape == (2, 3, 3)
+
     def test_rates_are_separated(self):
         toy = dissipative_toy()
         assert 1.0 / toy.gamma_relax >= 2.0 / toy.gamma_decohere

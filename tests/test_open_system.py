@@ -33,6 +33,7 @@ from decolab.open_system import (
     purity,
     spin_bath_coherence,
     spin_bath_hamiltonian_diagonal,
+    spin_bath_initial_vector,
     spin_bath_recurrence_window,
     spin_bath_reduced_dynamics,
     spin_bath_scenario,
@@ -288,6 +289,17 @@ class TestSpinBathScenario:
         assert_allclose(spin_bath_hamiltonian_diagonal(params), np.diag(h).real,
                         rtol=0, atol=1e-14)
 
+    def test_initial_vector_matches_kron_product(self):
+        # one np.kron per factor, system first: pins the bit order of the
+        # bath amplitudes that the reduced route squares into Born weights
+        th = np.random.default_rng(69).uniform(0, np.pi, 3)
+        params = SpinBathParams(couplings=(1.0,) * 3, angles=tuple(th),
+                                amplitude_0=0.6, amplitude_1=0.8j)
+        factors = [np.array([0.6, 0.8j])] + [
+            np.array([np.cos(x / 2), np.sin(x / 2)]) for x in th]
+        assert_allclose(spin_bath_initial_vector(params),
+                        functools.reduce(np.kron, factors), rtol=0, atol=1e-15)
+
     def test_bath_in_z_eigenstate_keeps_coherence_modulus(self):
         params = SpinBathParams(couplings=(1.0,), angles=(0.0,))
         t = np.linspace(0, 10, 50)
@@ -347,6 +359,30 @@ class TestSpinBathScenario:
         assert np.max(np.abs(series[:, 0, 1] - coh)) <= 1e-10
         assert np.max(np.abs(series[:, 0, 0] - 0.7)) <= 1e-12
         assert np.max(np.abs(series[:, 1, 1] - 0.3)) <= 1e-12
+
+    def test_reduced_dynamics_at_largest_eid_config(self):
+        # the benchmark's largest eid-spin-bath run (14 spins, 2000 samples
+        # on t <= 8, random angles), here with a complex b
+        rng = np.random.default_rng(68)
+        params = SpinBathParams(
+            couplings=tuple(rng.uniform(0.5, 1.5, SPIN_CAP)),
+            angles=tuple(rng.uniform(0, np.pi, SPIN_CAP)),
+            amplitude_0=np.sqrt(0.55),
+            amplitude_1=np.sqrt(0.45) * np.exp(0.9j),
+        )
+        times = np.linspace(0.0, 8.0, 2000)
+        series = spin_bath_reduced_dynamics(params, times)
+        coh = spin_bath_coherence(params, times)
+        assert np.max(np.abs(series[:, 0, 1] - coh)) <= 1e-10
+        # the populations are |a|^2 and |b|^2 bit for bit at every sample
+        for i, amp in enumerate((params.amplitude_0, params.amplitude_1)):
+            assert np.array_equal(series[:, i, i], np.full(2000, abs(amp) ** 2))
+        # a = 1, b = 0: the coherence is exactly 0, not roundoff
+        series = spin_bath_reduced_dynamics(
+            SpinBathParams(couplings=params.couplings, angles=params.angles,
+                           amplitude_0=1.0, amplitude_1=0.0), times)
+        assert np.array_equal(series, np.broadcast_to(np.diag([1.0, 0.0]),
+                                                      (2000, 2, 2)))
 
     def test_reduced_dynamics_odd_bath_complex_amplitude(self):
         # 13 spins split into unequal half-bath tables (6 and 7 spins)
@@ -438,9 +474,10 @@ class TestSpinBathScenario:
         with pytest.raises(ResourceCapError, match="cap"):
             spin_bath_reduced_dynamics(params, [0.0])
 
-    def test_dense_cap_points_to_state_vector_route(self):
+    def test_dense_cap_points_to_phase_sum_route(self):
         params = SpinBathParams(couplings=(1.0,) * 12, angles=(0.0,) * 12)
-        with pytest.raises(ResourceCapError, match="reduced_dynamics"):
+        with pytest.raises(ResourceCapError,
+                           match="reduced_dynamics .half-bath phase-sum"):
             spin_bath_scenario(params)
 
     def test_recurrence_window_single_spin(self):
