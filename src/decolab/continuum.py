@@ -505,20 +505,20 @@ def family_kernel(grid, family, center, width, cross_width):
     raise ValueError(f"unknown kernel family {family!r}")
 
 
-def gaussian_scenario(n=400, omega_max=10.0, center=5.0, width=1.2,
-                      cross_width=0.5, amplitude=0.25):
+def gaussian_scenario():
     """Gaussian state/observable pair with an exactly known envelope.
 
-    Both kernels carry the gaussian :func:`family_kernel`, so their
-    product separates in the rotated variables (mean, difference) and
-    the oscillatory sector is an exact Gaussian Fourier transform:
-    offdiag(t) = offdiag(0) * exp(-cross_width^2 t^2 / 2).  Window edges
-    and quadrature spacing are chosen so that boundary tails and
-    aliasing sit far below 1e-4 of the envelope for t <= 4.
+    On 400 points over [0, 10], both kernels carry the gaussian
+    :func:`family_kernel` (center 5, width 1.2, cross width 0.5), so their
+    product separates in the rotated variables (mean, difference) and the
+    oscillatory sector is an exact Gaussian Fourier transform:
+    offdiag(t) = offdiag(0) * exp(-t^2 / 8).  Window edges and quadrature
+    spacing keep boundary tails and aliasing far below 1e-4 of the
+    envelope for t <= 4.
     """
-    grid = EnergyGrid.uniform(0.0, omega_max, n)
-    kernel = family_kernel(grid, "gaussian", center, width, cross_width)
-    return sid_scenario(grid, kernel, center, width, amplitude)
+    grid = EnergyGrid.uniform(0.0, 10.0, 400)
+    kernel = family_kernel(grid, "gaussian", 5.0, 1.2, 0.5)
+    return sid_scenario(grid, kernel, 5.0, 1.2, 0.25)
 
 
 def gaussian_envelope(t, cross_width=0.5):

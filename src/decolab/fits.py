@@ -6,7 +6,7 @@ dephasing and relaxation scales sit across scenarios.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -41,13 +41,7 @@ class FitResult:
         return self.status == "ok"
 
     def as_dict(self):
-        return {
-            "value": self.value,
-            "power": self.power,
-            "amplitude": self.amplitude,
-            "r_squared": self.r_squared,
-            "status": self.status,
-        }
+        return asdict(self)
 
 
 _NOT_DECAYING = FitResult(None, None, None, None,
@@ -225,8 +219,8 @@ def detect_weak_limit(times, channels, epsilon, recurrence_window=None):
 class OrderingRow:
     scenario: str
     kind: str
-    t_decohere: float | None
-    t_relax: float | None
+    t_D: float | None
+    t_R: float | None
     ratio: float | None
     status: str
 
@@ -239,28 +233,16 @@ class OrderingReport:
     ordering_satisfied: bool
 
     def as_dict(self):
-        return {
-            "rows": [
-                {
-                    "scenario": r.scenario,
-                    "kind": r.kind,
-                    "t_D": r.t_decohere,
-                    "t_R": r.t_relax,
-                    "ratio": r.ratio,
-                    "status": r.status,
-                }
-                for r in self.rows
-            ],
-            "ordering_satisfied": self.ordering_satisfied,
-        }
+        return {"rows": [asdict(r) for r in self.rows],
+                "ordering_satisfied": self.ordering_satisfied}
 
     def text(self):
         header = (f"{'scenario':<24}{'kind':<18}{'t_D':>12}{'t_R':>12}"
                   f"{'t_R/t_D':>10}  ordering")
         lines = [header, "-" * len(header)]
         for r in self.rows:
-            td = f"{r.t_decohere:.6g}" if r.t_decohere is not None else "n/a"
-            tr = f"{r.t_relax:.6g}" if r.t_relax is not None else "n/a"
+            td = f"{r.t_D:.6g}" if r.t_D is not None else "n/a"
+            tr = f"{r.t_R:.6g}" if r.t_R is not None else "n/a"
             ratio = f"{r.ratio:.4g}" if r.ratio is not None else "n/a"
             lines.append(f"{r.scenario:<24}{r.kind:<18}{td:>12}{tr:>12}"
                          f"{ratio:>10}  {r.status}")

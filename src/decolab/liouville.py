@@ -109,10 +109,6 @@ class CoarseState:
         m.setflags(write=False)
         self.matrix = m
 
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
     def pair(self, obs):
         """(rho_G|O) = Tr(B^dag O)."""
         obs = np.asarray(obs)
@@ -123,7 +119,7 @@ class CoarseState:
         return complex(np.sum(np.conj(self.matrix) * obs))
 
     def __repr__(self):
-        return f"CoarseState(dim={self.dim})"
+        return f"CoarseState(dim={self.matrix.shape[0]})"
 
 
 def pairing(state, obs):

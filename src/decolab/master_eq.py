@@ -120,6 +120,15 @@ def _check_sizes(pi, liouville, rho0=None):
             f"{np.shape(rho0)} vs H {liouville.hamiltonian.shape}")
 
 
+def _sample_times(times):
+    """``times`` as a 1-d float array; a non-finite entry, whose step would
+    spoil every later sample, or another shape is refused."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not np.isfinite(times).all():
+        raise ValueError(f"times must be finite and 1-d, shape {times.shape}")
+    return times
+
+
 def defect(pi, liouville):
     """The matrix N = pi L - L pi; zero exactly when pi commutes with L."""
     _check_sizes(pi, liouville)
@@ -197,14 +206,12 @@ def evolve_master_exact(rho0, pi, liouville, times):
     Returns a list of :class:`CoarseState`.
     """
     _check_sizes(pi, liouville, rho0)
+    times = _sample_times(times)
+    if not times.size:
+        return []
     p = state_map(np.asarray(pi, dtype=complex))
     n = defect(p, liouville)
     x0 = vec(np.asarray(rho0, dtype=complex))
-    times = np.asarray(times, dtype=float)
-    if not np.isfinite(times).all():  # its step would spoil every later sample
-        raise ValueError("times must be finite")
-    if not times.size:
-        return []
     evals, vmat = liouville.eigensystem()
     source = (vmat.conj().T @ n @ vmat) * (vmat.conj().T @ x0)
     gaps = np.subtract.outer(evals, evals)
@@ -275,10 +282,9 @@ def _growth(rates):
 class MemoryKernel:
     """K(tau) samples on range(P) coordinates (basis columns included).
 
-    ``matrices[k]`` is K(taus[k]).
+    ``matrices[k]`` is K(tau) at the k-th lag passed to :func:`memory_kernel`.
     """
 
-    taus: np.ndarray
     matrices: np.ndarray
     basis: np.ndarray
 
@@ -292,8 +298,8 @@ def memory_kernel(pi, liouville, taus):
     modes) is refused with ``FloatingPointError`` naming the growth rate.
     """
     _check_sizes(pi, liouville)
+    taus = _sample_times(taus)
     pq = _pq_system(pi, liouville)
-    taus = np.asarray(taus, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         phase = np.exp(-1j * pq.lam * taus[:, None])
         matrices = (pq.from_modes * phase[:, None, :]) @ pq.into_modes
@@ -301,7 +307,7 @@ def memory_kernel(pi, liouville, taus):
         # |e^{-i lam tau}| = e^{Im(lam) tau}: the rate along the lags sampled
         _, modes = _growth(pq.lam.imag * np.sign(taus)[:, None])
         raise FloatingPointError(f"memory kernel overflows: {modes}")
-    return MemoryKernel(taus, matrices, pq.basis)
+    return MemoryKernel(matrices, pq.basis)
 
 
 def evolve_nakajima_zwanzig(rho0, pi, liouville, times, kernel_window=None):
@@ -334,7 +340,7 @@ def evolve_nakajima_zwanzig(rho0, pi, liouville, times, kernel_window=None):
         raise ValueError(
             f"kernel_window must be positive or None, got {kernel_window}")
     _check_sizes(pi, liouville, rho0)
-    times = np.asarray(times, dtype=float)
+    times = _sample_times(times)
     if not times.size:
         return []
     pq = _pq_system(pi, liouville)
@@ -413,19 +419,11 @@ def dissipative_toy(gamma_decohere=1.0, gamma_relax=0.2):
     d = 3
     p_star = np.array([0.5, 0.3, 0.2])
     freqs = np.array([0.0, 1.3, 2.9])
-    gen = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            row = i + d * j  # column-stacking vec index of entry (i, j)
-            if i == j:
-                continue
-            gen[row, row] = -gamma_decohere + 1j * (freqs[i] - freqs[j])
-    # population sector: dp/dt = -gamma (p - p*); trace conservation makes
-    # it linear, dp/dt = gamma (p* 1^T - I) p
-    for i in range(d):
-        for j in range(d):
-            gen[i + d * i, j + d * j] = gamma_relax * (
-                p_star[i] - (1.0 if i == j else 0.0))
+    gen = np.diag(vec(-gamma_decohere + 1j * np.subtract.outer(freqs, freqs)))
+    # populations (vec indices of the diagonal): dp/dt = -gamma (p - p*),
+    # linear by trace conservation as dp/dt = gamma (p* 1^T - I) p
+    pops = np.arange(d) * (d + 1)
+    gen[np.ix_(pops, pops)] = gamma_relax * (p_star[:, None] - np.eye(d))
     v = np.sqrt(np.array([0.2, 0.5, 0.3], dtype=complex))
     rho0 = np.outer(v, v.conj())
     return DissipativeToy(gen, p_star, float(gamma_decohere),

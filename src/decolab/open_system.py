@@ -85,8 +85,11 @@ class SpinBathParams:
             raise ValueError(
                 f"{len(g)} couplings vs {len(th)} angles (need equal, nonzero)"
             )
+        if not np.isfinite(g + th).all():
+            raise ValueError(f"couplings {g} and angles {th} must be finite")
         norm = abs(self.amplitude_0) ** 2 + abs(self.amplitude_1) ** 2
-        if abs(norm - 1.0) > 1e-12:
+        # written as "not within" so that a NaN amplitude is refused too
+        if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"|a|^2+|b|^2 = {norm!r}, expected 1")
         object.__setattr__(self, "couplings", g)
         object.__setattr__(self, "angles", th)
@@ -286,13 +289,10 @@ def spin_bath_recurrence_window(couplings):
     single spin gives pi/g, the period of |cos(g t)|.  Returns inf when
     the spectrum collapses to a point (all couplings zero).
     """
-    freqs = np.unique(np.round(_bath_energies(couplings), 12))
-    if freqs.size < 2:
-        return np.inf
-    gap = float(np.min(np.diff(freqs)))
-    if gap <= 0:
-        return np.inf
-    return 2 * np.pi / gap
+    # the least positive gap; np.unique would import numpy.ma (1.3 MB RSS)
+    gaps = np.diff(np.sort(np.round(_bath_energies(couplings), 12)))
+    gaps = gaps[gaps > 0]
+    return 2 * np.pi / float(gaps.min()) if gaps.size else np.inf
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,8 @@ def _summary(config, times, decay, relax, watched, monitored,
     flags = list(weak.flags)
     if not fit_d.ok:
         flags.append("t_D: " + fit_d.status)
+    elif fit_d.value > times[-1]:
+        flags.append("t_D: beyond the record, extrapolated")
     if not fit_r.ok:
         flags.append("t_R: " + fit_r.status)
     if recurrence_window is None:

@@ -54,10 +54,6 @@ class TimeSeries:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "channels", clean)
 
-    @property
-    def column_names(self):
-        return ["t", *self.channels]
-
     def channel(self, name):
         try:
             return self.channels[name]
@@ -68,7 +64,7 @@ class TimeSeries:
 
     def write_csv(self, fh):
         """Write the header and one row per sample to text stream ``fh``."""
-        fh.write(",".join(self.column_names) + "\n")
+        fh.write(",".join(["t", *self.channels]) + "\n")
         for row in zip(self.times, *self.channels.values()):
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
 

@@ -332,13 +332,6 @@ class TestEvolveMasterExact:
                   for a, r in zip(got, want))
         assert gap <= 1e-12
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_time_is_refused(self, bad):
-        h, rho0 = eid_fixture(np.random.default_rng(3), 2, 2)
-        with pytest.raises(ValueError, match="times must be finite"):
-            evolve_master_exact(rho0, eid_projector(2, 2),
-                                build_liouvillian(h), [0.0, bad, 1.0])
-
     def test_commuting_projector_keeps_projected_purity(self):
         rng = np.random.default_rng(12)
         h = np.diag(rng.uniform(0, 2, 4)).astype(complex)
@@ -785,9 +778,9 @@ def closed_form_case(case):
 
 # a fresh interpreter, because this pytest process has imported scipy
 NO_SCIPY = """
-import json, sys, warnings
+import json, os, sys, tempfile, warnings
 import numpy as np
-from decolab import master_eq
+from decolab import master_eq, scenarios
 from decolab.open_system import eid_projector
 
 h = np.kron(np.diag([1.0, -1.0]), np.array([[0.3, 1.0], [1.0, -0.2]]))
@@ -801,6 +794,14 @@ with warnings.catch_warnings():
     warnings.simplefilter("ignore", RuntimeWarning)  # the truncation
     master_eq.evolve_nakajima_zwanzig(rho0, eid_projector(2, 2), lv, times,
                                       kernel_window=1.5)
+# an eid-spin-bath run, which reads the recurrence window of its bath
+with tempfile.TemporaryDirectory() as tmp:
+    ini = os.path.join(tmp, "bath.ini")
+    with open(ini, "w") as fh:
+        fh.write("[scenario]\\nkind = eid-spin-bath\\nt_max = 8.0\\n"
+                 "samples = 100\\n[eid-spin-bath]\\nn_spins = 6\\n"
+                 "bath_angle = random\\n")
+    scenarios.run_scenario(scenarios.parse_config(ini), tmp)
 # np.unique on floats would import numpy.ma, 1.3 MB of peak RSS
 assert "numpy.ma" not in sys.modules
 print(json.dumps(sorted(m for m in sys.modules
@@ -944,6 +945,22 @@ def test_projector_liouvillian_mismatch_refused(route):
             "memory": lambda: evolve_nakajima_zwanzig(rho0, pi, lv, times),
             "kernel": lambda: memory_kernel(pi, lv, times)}[route]
     with pytest.raises(DimensionMismatchError, match="projector shape"):
+        call()
+
+
+@pytest.mark.parametrize("bad", [[0.0, np.nan, 1.0], [0.0, np.inf, 1.0],
+                                 1.0, [[0.0, 1.0], [2.0, 3.0]]],
+                         ids=["nan", "inf", "scalar", "2-d"])
+@pytest.mark.parametrize("route", ["exact", "memory", "kernel"])
+def test_bad_sample_times_refused(route, bad):
+    # a non-finite step would spoil every later sample, and the routes
+    # index times as one axis: all three refuse before any product
+    h, rho0 = eid_fixture(np.random.default_rng(3), 2, 2)
+    pi, lv = eid_projector(2, 2), build_liouvillian(h)
+    call = {"exact": lambda: evolve_master_exact(rho0, pi, lv, bad),
+            "memory": lambda: evolve_nakajima_zwanzig(rho0, pi, lv, bad),
+            "kernel": lambda: memory_kernel(pi, lv, bad)}[route]
+    with pytest.raises(ValueError, match="times must be finite"):
         call()
 
 

@@ -269,6 +269,20 @@ class TestSpinBathParams:
         with pytest.raises(ValueError, match="couplings"):
             SpinBathParams(couplings=(1.0, 2.0), angles=(0.0,))
 
+    def test_rejects_nan_amplitude(self):
+        # |a|^2 + |b|^2 is NaN, which no "> tol" comparison catches
+        with pytest.raises(ValueError, match="expected 1"):
+            SpinBathParams(couplings=(1.0,), angles=(0.0,),
+                           amplitude_0=np.nan, amplitude_1=1.0)
+
+    @pytest.mark.parametrize("field", ["couplings", "angles"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_couplings_and_angles(self, field, bad):
+        values = {"couplings": (1.0, 0.5), "angles": (0.2, 1.1)}
+        values[field] = (values[field][0], bad)
+        with pytest.raises(ValueError, match="must be finite"):
+            SpinBathParams(**values)
+
 
 class TestSpinBathScenario:
     def test_hamiltonian_diagonal_matches_kron_sum(self):

@@ -300,6 +300,20 @@ class TestEidRunner:
         pur = result.series.channel("purity")
         assert np.all(pur <= 1.0 + 1e-12) and np.all(pur >= 0.5 - 1e-12)
 
+    @pytest.mark.parametrize("angle, beyond", [("half-pi", False),
+                                               ("random", True)])
+    def test_t_d_beyond_the_record_is_flagged(self, tmp_path, angle, beyond):
+        # random angles leave a plateau (seed 3: |rho01| settles near 0.12)
+        # that the envelope fit reads as slow decay, t_D 12.1 on t <= 8:
+        # the value is kept and flagged; a t_D inside the record is not
+        text = EID_CONFIG.replace("n_spins = 6",
+                                  f"n_spins = 6\nbath_angle = {angle}")
+        s = run_scenario(parse_config(write_config(tmp_path, text)),
+                         tmp_path / "out").summary
+        assert (s["t_D"] > 8.0) is beyond
+        flag = "t_D: beyond the record, extrapolated"
+        assert (flag in s["flags"]) is beyond
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, EID_CONFIG))
         r1 = run_scenario(cfg, tmp_path / "a")
