@@ -72,8 +72,8 @@ class UntaggedComponentError(ValueError):
 # grid and kernel types
 # ---------------------------------------------------------------------------
 
-def _frozen(a):
-    a = a.copy()
+def _frozen(a, dtype=float):
+    a = np.array(a, dtype=dtype)
     a.setflags(write=False)
     return a
 
@@ -86,7 +86,7 @@ class EnergyGrid:
     weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        w = np.asarray(self.omega, dtype=float)
+        w = _frozen(self.omega)
         if w.ndim != 1 or w.size < 2:
             raise ValueError("grid needs at least 2 energies")
         # "not all > 0" so that NaN gaps are refused too
@@ -99,7 +99,7 @@ class EnergyGrid:
         q[0] = 0.5 * (w[1] - w[0])
         q[-1] = 0.5 * (w[-1] - w[-2])
         q[1:-1] = 0.5 * (w[2:] - w[:-2])
-        object.__setattr__(self, "omega", _frozen(w))
+        object.__setattr__(self, "omega", w)
         object.__setattr__(self, "weights", _frozen(q))
 
     @classmethod
@@ -127,25 +127,24 @@ class EnergyGrid:
 
 
 def _check_kernel(grid, kernel, what):
-    k = np.asarray(kernel, dtype=complex)
+    k = _frozen(kernel, complex)
     n = grid.size
     if k.shape != (n, n):
         raise DimensionMismatchError(
             f"{what} kernel shape {k.shape} vs grid size {n}"
         )
-    if not np.all(np.isfinite(k)):
-        raise ValueError(f"{what} kernel has non-finite entries")
-    return _frozen(require_hermitian(k, HERMITICITY_TOL, f"{what} kernel"))
+    return require_hermitian(k, HERMITICITY_TOL, f"{what} kernel")
 
 
 def _validate_kernels(obj, offdiag_field, what):
     """Check and freeze ``obj.diag`` and its regular off-diagonal kernel.
 
-    The diagonal must match the grid and be finite; a missing regular
-    kernel becomes zero.  Returns the validated diagonal.
+    The diagonal must match the grid and be finite.  A given kernel is
+    copied once and checked once; a missing one is a read-only zero view
+    of O(1) memory, never checked: zero is Hermitian.  Returns the diagonal.
     """
     grid = obj.grid
-    d = np.asarray(obj.diag, dtype=float)
+    d = _frozen(obj.diag)
     if d.shape != grid.omega.shape:
         raise DimensionMismatchError(
             f"diag shape {d.shape} vs grid size {grid.size}"
@@ -153,11 +152,11 @@ def _validate_kernels(obj, offdiag_field, what):
     if not np.all(np.isfinite(d)):
         raise ValueError("diagonal part has non-finite entries")
     off = getattr(obj, offdiag_field)
-    if off is None:
-        off = np.zeros((grid.size, grid.size))
-    object.__setattr__(obj, "diag", _frozen(d))
-    object.__setattr__(obj, offdiag_field, _check_kernel(grid, off, what))
-    return obj.diag
+    off = (np.broadcast_to(0j, (grid.size, grid.size)) if off is None
+           else _check_kernel(grid, off, what))
+    object.__setattr__(obj, "diag", d)
+    object.__setattr__(obj, offdiag_field, off)
+    return d
 
 
 @dataclass(frozen=True)
@@ -282,8 +281,8 @@ def sid_limit(state, obs):
 
 
 def hamiltonian_observable(grid):
-    """H as a kernel observable: diag weight w, no regular kernel."""
-    return VanHoveObservable(grid, grid.omega.copy())
+    """H: diag weight w, and no regular kernel, so a read-only zero offdiag."""
+    return VanHoveObservable(grid, grid.omega)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +310,7 @@ def sid_projector(obs):
                 f"singular component {comp!r} is not a SingularRidge; "
                 "the regular/singular split must be declared explicitly"
             )
-    return VanHoveObservable(obs.grid, obs.diag.copy(),
-                             obs.offdiag_regular.copy())
+    return VanHoveObservable(obs.grid, obs.diag, obs.offdiag_regular)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +374,7 @@ def build_vanhove_from_measurements(z, delta_omega, kernel_fn=None):
     dco = np.abs(np.diff(readings, axis=1)).max(initial=0.0)
     gap = float(np.min(np.diff(node_pos))) if node_pos.size > 1 else dw
     grad = float(max(dre, dco)) / gap
-    built = VanHoveObservable(g, obs.diag.copy(), rebuilt)
+    built = VanHoveObservable(g, obs.diag, rebuilt)
     return MeasuredObservable(built, grad, grad * dw)
 
 

@@ -102,10 +102,9 @@ class CoarseState:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=complex)
+        m = np.array(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"expected a square matrix, got {m.shape}")
-        m = m.copy()
         m.setflags(write=False)
         self.matrix = m
 
@@ -147,7 +146,8 @@ def hermitian_deviation(m):
     """max |M - M^dag|, 0 for an empty ``m``: what :func:`require_hermitian`
     measures."""
     m = np.asarray(m)
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    with np.errstate(invalid="ignore"):
+        return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
 def require_hermitian(m, tol, what):
@@ -156,16 +156,17 @@ def require_hermitian(m, tol, what):
     The one Hermiticity check of the package: observables (Hamiltonians
     among them), states, kernels and the projectors of the P/Q split all
     go through it or its :func:`hermitian_deviation`, each with its own
-    tolerance.  An operand that is not a square 2-D array raises
-    :class:`DimensionMismatchError`.  ``what`` names the operand in the error.
+    tolerance; as "not within", it also refuses any NaN or inf entry.  A
+    non-square operand raises :class:`DimensionMismatchError`.  ``what``
+    names the operand in the error.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"{what} shape {m.shape} is not square")
     dev = hermitian_deviation(m)
-    if dev > tol:
+    if not dev <= tol:
         raise InvalidStateError(
-            f"{what} not Hermitian: max deviation {dev:.3e}")
+            f"{what} not finite and Hermitian: max deviation {dev:.3e}")
     return m
 
 
@@ -177,13 +178,12 @@ def validate_observable(o):
 def validate_density(rho):
     """Check the density-operator invariants of ``rho``.
 
-    Hermitian to HERMITICITY_TOL, unit trace to TRACE_TOL, eigenvalues
-    >= -EIGENVALUE_TOL.  Returns ``rho`` as a complex array on success.
+    Square, finite and Hermitian to HERMITICITY_TOL by
+    :func:`require_hermitian`, unit trace to TRACE_TOL, eigenvalues >=
+    -EIGENVALUE_TOL.  Returns ``rho`` as a complex array on success.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise InvalidStateError(f"expected a square matrix, got shape {rho.shape}")
-    require_hermitian(rho, HERMITICITY_TOL, "state")
+    rho = require_hermitian(np.asarray(rho, dtype=complex), HERMITICITY_TOL,
+                            "state")
     tr_dev = abs(complex(np.trace(rho)) - 1.0)
     if tr_dev > TRACE_TOL:
         raise InvalidStateError(f"state trace deviates from 1 by {tr_dev:.3e}")

@@ -107,8 +107,7 @@ class SpinBathParams:
 
 def lift_observable(obs_s, dim_e):
     """O_S (x) I_E: the relevant-observable embedding."""
-    obs_s = np.asarray(obs_s, dtype=complex)
-    validate_observable(obs_s)
+    obs_s = validate_observable(np.asarray(obs_s, dtype=complex))
     return np.kron(obs_s, np.eye(dim_e, dtype=complex))
 
 
@@ -149,8 +148,7 @@ def evolve_unitary(rho0, hamiltonian, times):
 
     Returns an array of shape np.shape(times) + (d, d).
     """
-    h = np.asarray(hamiltonian, dtype=complex)
-    validate_observable(h)
+    h = validate_observable(np.asarray(hamiltonian, dtype=complex))
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != h.shape:
         raise DimensionMismatchError(
@@ -287,10 +285,14 @@ def spin_bath_recurrence_window(couplings):
     2^n signed sums sum_k (+/-)g_k; below 2*pi over the minimal positive
     gap of that spectrum the quasi-periodic signal cannot re-align.  A
     single spin gives pi/g, the period of |cos(g t)|.  Returns inf when
-    the spectrum collapses to a point (all couplings zero).
+    the spectrum collapses to a point (all couplings zero).  Non-finite
+    couplings are refused with ``ValueError``, as by :class:`SpinBathParams`.
     """
+    g = np.asarray(couplings, dtype=float)
+    if not np.isfinite(g).all():
+        raise ValueError(f"couplings {g.tolist()} must be finite")
     # the least positive gap; np.unique would import numpy.ma (1.3 MB RSS)
-    gaps = np.diff(np.sort(np.round(_bath_energies(couplings), 12)))
+    gaps = np.diff(np.sort(np.round(_bath_energies(g), 12)))
     gaps = gaps[gaps > 0]
     return 2 * np.pi / float(gaps.min()) if gaps.size else np.inf
 

@@ -1,6 +1,7 @@
 """Kernel pairing, weak limits, projector, measurement rebuild, tables."""
 
 import copy
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -141,6 +142,14 @@ class TestTypeInvariants:
         kern[0, 1] = 1.0
         with pytest.raises(ValueError, match="Hermitian"):
             VanHoveState(g, np.ones(3), kern)
+
+    def test_kernel_is_copied_once_and_frozen(self):
+        g = EnergyGrid.uniform(0.0, 1.0, 3)
+        kern = np.ones((3, 3))
+        state = VanHoveState(g, np.ones(3), kern)
+        kern[0, 1] = kern[1, 0] = 7.0
+        assert np.array_equal(state.offdiag, np.ones((3, 3)))
+        assert not state.offdiag.flags.writeable
 
     def test_observable_rejects_non_finite(self):
         g = EnergyGrid.uniform(0.0, 1.0, 3)
@@ -412,7 +421,16 @@ class TestPhaseSum:
         f = offdiag_contribution(state, obs, ts)
         exact = f[0] * gaussian_envelope(ts)
         assert np.all(np.abs(f - exact) <= 1e-4 * np.abs(exact))
-        h = hamiltonian_observable(state.grid)
+        # H has no regular kernel: its offdiag is a read-only zero view of
+        # O(1) memory, where a complex n x n copy would take 64 MB
+        tracemalloc.start()
+        try:
+            h = hamiltonian_observable(state.grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert not h.offdiag.flags.writeable
         assert np.array_equal(expectation_sid(state, h, ts),
                               np.full(ts.shape, sid_limit(state, h)))
 

@@ -1,9 +1,14 @@
 """Core Liouville-space algebra: vectorization, pairing, projectors."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from decolab.continuum import (EnergyGrid, GeneralKernelObservable,
+                               VanHoveObservable, VanHoveState,
+                               load_table_kernel)
 from decolab.liouville import (
     BiorthogonalBasis,
     BiorthogonalityError,
@@ -21,6 +26,8 @@ from decolab.liouville import (
     validate_observable,
     vec,
 )
+from decolab.master_eq import build_liouvillian
+from decolab.open_system import evolve_unitary, lift_observable
 
 
 def random_density(rng, d):
@@ -116,6 +123,12 @@ class TestValidation:
         with pytest.raises(InvalidStateError, match="Hermitian"):
             validate_density(m)
 
+    def test_rejects_non_square(self):
+        # the square check is require_hermitian's, as for an observable
+        with pytest.raises(DimensionMismatchError,
+                           match=r"state shape \(2, 3\) is not square"):
+            validate_density(np.zeros((2, 3)))
+
     def test_rejects_negative_eigenvalue(self):
         m = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(InvalidStateError, match="eigenvalue"):
@@ -137,6 +150,53 @@ class TestValidation:
         with pytest.raises(DimensionMismatchError, match="not square") as err:
             validate_observable(o)
         assert f"observable shape {o.shape}" in str(err.value)
+
+
+def _table(m, tmp_path):
+    """``m`` as a table kernel on the 2-point grid [0, 1]."""
+    g = EnergyGrid.uniform(0.0, 1.0, 2)
+    path = tmp_path / "kernel.csv"
+    path.write_text("".join(f"{wi!r},{wj!r},{m[i, j]!r},0.0\n"
+                            for i, wi in enumerate(g.omega)
+                            for j, wj in enumerate(g.omega)))
+    return load_table_kernel(path, g)
+
+
+# every entry point of require_hermitian, on a 2 x 2 operand
+NON_FINITE_ENTRY_POINTS = {
+    "validate_observable": lambda m, _: validate_observable(m),
+    "validate_density": lambda m, _: validate_density(m),
+    "build_liouvillian": lambda m, _: build_liouvillian(m),
+    "evolve_unitary": lambda m, _: evolve_unitary(np.eye(2) / 2, m, [0.0]),
+    "lift_observable": lambda m, _: lift_observable(m, 2),
+    "VanHoveState": lambda m, _: VanHoveState(
+        EnergyGrid.uniform(0.0, 1.0, 2), np.ones(2), m),
+    "VanHoveObservable": lambda m, _: VanHoveObservable(
+        EnergyGrid.uniform(0.0, 1.0, 2), np.ones(2), m),
+    "GeneralKernelObservable": lambda m, _: GeneralKernelObservable(
+        EnergyGrid.uniform(0.0, 1.0, 2), np.ones(2), m),
+    "load_table_kernel": _table,
+}
+NON_FINITE_CASES = {
+    "nan-off-diagonal": ([(0, 1)], np.nan),
+    "inf-on-diagonal": ([(0, 0)], np.inf),
+    "symmetric-inf-pair": ([(0, 1), (1, 0)], np.inf),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE_CASES)
+@pytest.mark.parametrize("entry", NON_FINITE_ENTRY_POINTS)
+def test_non_finite_operand_refused(entry, case, tmp_path):
+    # a NaN deviation fails "dev > tol" too, so only "not within" refuses
+    # it; inf - inf makes the deviation NaN without a RuntimeWarning
+    where, value = NON_FINITE_CASES[case]
+    m = np.eye(2) / 2
+    for ij in where:
+        m[ij] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            NON_FINITE_ENTRY_POINTS[entry](m, tmp_path)
 
 
 class TestProjectorConstruction:

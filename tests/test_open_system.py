@@ -509,6 +509,14 @@ class TestSpinBathScenario:
         assert_allclose(spin_bath_recurrence_window(tuple(g)),
                         2 * np.pi / np.min(np.diff(sums)), rtol=1e-12)
 
+    @pytest.mark.parametrize("couplings", [(1.0, np.nan), (np.inf, 1.0)],
+                             ids=["nan", "inf"])
+    def test_recurrence_window_refuses_non_finite_couplings(self, couplings):
+        # unrefused, a NaN gap reads as "no recurrence" (inf) and an
+        # infinite one as a window of 0
+        with pytest.raises(ValueError, match="must be finite"):
+            spin_bath_recurrence_window(couplings)
+
 
 class TestPreferredBasis:
     def test_diagonal_state_sorted(self):
