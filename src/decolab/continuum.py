@@ -310,7 +310,11 @@ def sid_projector(obs):
                 f"singular component {comp!r} is not a SingularRidge; "
                 "the regular/singular split must be declared explicitly"
             )
-    return VanHoveObservable(obs.grid, obs.diag, obs.offdiag_regular)
+    reg = obs.offdiag_regular
+    # a missing kernel is the O(1) zero view, the only one with strides
+    # (0, 0): pass it on as missing, not as n x n data to copy and check
+    return VanHoveObservable(obs.grid, obs.diag,
+                             None if reg.strides == (0, 0) else reg)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+# rows per block of write_csv: its memory is O(block), not O(record)
+_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -25,7 +27,7 @@ class TimeSeries:
     channels: dict
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
+        t = np.array(self.times, dtype=float)
         if t.ndim != 1 or t.size < 2:
             raise ValueError("need a 1-d time axis with at least 2 samples")
         if np.any(np.diff(t) <= 0):
@@ -38,7 +40,7 @@ class TimeSeries:
         for name, vals in self.channels.items():
             if not _NAME_RE.match(name):
                 raise ValueError(f"channel name {name!r} is not an identifier")
-            v = np.asarray(vals, dtype=float)
+            v = np.array(vals, dtype=float)
             if v.shape != t.shape:
                 raise ValueError(
                     f"channel {name!r} has {v.size} samples, time axis has "
@@ -46,10 +48,8 @@ class TimeSeries:
                 )
             if not np.all(np.isfinite(v)):
                 raise ValueError(f"channel {name!r} contains non-finite entries")
-            v = v.copy()
             v.setflags(write=False)
             clean[name] = v
-        t = t.copy()
         t.setflags(write=False)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "channels", clean)
@@ -63,10 +63,23 @@ class TimeSeries:
             ) from None
 
     def write_csv(self, fh):
-        """Write the header and one row per sample to text stream ``fh``."""
+        """Write the header and one row per sample to text stream ``fh``.
+
+        Each cell is ``repr(float(x))``.  A block of rows formats each
+        distinct magnitude once and prefixes "-" where the sign bit is set,
+        which for a finite float (-0.0 included) is the same string.
+        """
         fh.write(",".join(["t", *self.channels]) + "\n")
-        for row in zip(self.times, *self.channels.values()):
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        cols = [self.times, *self.channels.values()]
+        for start in range(0, self.times.size, _BLOCK_ROWS):
+            block = np.stack([c[start:start + _BLOCK_ROWS] for c in cols], 1)
+            mags, inv = np.unique(np.abs(block), return_inverse=True)
+            words = [repr(x) for x in mags.tolist()]
+            words = np.array(words + ["-" + w for w in words], dtype=object)
+            cells = words[inv.reshape(block.shape)
+                          + mags.size * np.signbit(block)]
+            fh.write("".join([",".join(row) + "\n"
+                              for row in cells.tolist()]))
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -79,6 +92,9 @@ class TimeSeries:
             names = header.split(",")
             if not names or names[0] != "t":
                 raise ValueError(f"{path}: first column must be 't', got {header!r}")
+            dup = [n for i, n in enumerate(names) if n in names[1:i]]
+            if dup:
+                raise ValueError(f"{path}: duplicate channel name {dup[0]!r}")
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 data = np.loadtxt(fh, delimiter=",", ndmin=2)

@@ -545,6 +545,20 @@ class TestSidProjector:
         assert_allclose(proj.diag, h.diag)
         assert not np.any(proj.offdiag)
 
+    def test_missing_kernel_stays_a_zero_view(self):
+        # n = 2000: a complex n x n copy of the zero kernel would take 64 MB
+        g = EnergyGrid.uniform(0.0, 5.0, 2000)
+        gen = GeneralKernelObservable(g, g.omega)
+        tracemalloc.start()
+        try:
+            proj = sid_projector(gen)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert proj.offdiag.strides == (0, 0)
+        assert not np.any(proj.offdiag)
+
     def test_idempotent(self, gaussian):
         _, obs = gaussian
         g = obs.grid

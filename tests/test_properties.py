@@ -1,15 +1,19 @@
-"""Property tests over random biorthogonal families.
+"""Property tests over random biorthogonal families and random records.
 
 Hypothesis draws a dimension d, a number 1 <= k < d^2 of pairs and a seed
 for their entries; ``biorthogonalize`` turns each draw into a projector.
 Every projector must be idempotent, reproduce the pairings it retains,
 and give the same coarse-grained dynamics on all three routes, at the
-bounds of acceptance tests 01 and 06.  Draws run derandomized, so every
-run checks the same families.
+bounds of acceptance tests 01 and 06.  Records mix the floats whose repr
+is easiest to get wrong with constant and negated columns, and
+``TimeSeries.write_csv`` must write them as the per-value writer did.
+Draws run derandomized, so every run checks the same families and records.
 """
 
+import io
+
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from decolab.liouville import (biorthogonalize, build_projector, coarse_grain,
@@ -17,6 +21,7 @@ from decolab.liouville import (biorthogonalize, build_projector, coarse_grain,
 from decolab.master_eq import (build_liouvillian, evolve_master_exact,
                                evolve_nakajima_zwanzig)
 from decolab.open_system import evolve_unitary
+from decolab.timeseries import _BLOCK_ROWS, TimeSeries
 
 # a Gram matrix worse conditioned than this is not a basis worth testing
 GRAM_COND_CAP = 1e3
@@ -76,3 +81,61 @@ def test_three_routes_agree(family):
     for want, a, b in zip(direct, exact, nz):
         assert np.max(np.abs(a.matrix - want)) <= 1e-8
         assert np.max(np.abs(b.matrix - a.matrix)) <= 1e-6
+
+
+# signed zeros, the least subnormal, both sides of repr's switches to
+# exponent notation (0.0001 against 9.999999999999999e-05 and 1e-05;
+# 9999999999999998.0 against 1e+16), the largest exact power of ten,
+# the least normal and the largest finite float
+AWKWARD = [0.0, -0.0, 5e-324, -5e-324, 0.0001, 9.999999999999999e-05,
+           1e-05, -1e-05, 9999999999999998.0, 1e+16, -1e+16, 1e+22, -1e+22,
+           2.2250738585072014e-308, 1.7976931348623157e+308, 0.1]
+
+
+def per_value_csv(series):
+    """The oracle: one ``repr(float(x))`` per cell, row by row."""
+    lines = [",".join(["t", *series.channels])]
+    for row in zip(series.times, *series.channels.values()):
+        lines.append(",".join(repr(float(x)) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def records(draw):
+    """A TimeSeries of 2 to 40 rows, or of one to three blocks of rows but
+    never a whole number of blocks.  Each column draws from AWKWARD plus
+    hypothesis floats, spreads over all exponents, is constant, or
+    negates the column before it."""
+    n = draw(st.one_of(
+        st.integers(2, 40),
+        st.integers(_BLOCK_ROWS + 1, 3 * _BLOCK_ROWS - 1).filter(
+            lambda m: m % _BLOCK_ROWS)))
+    pool = AWKWARD + draw(st.lists(
+        st.floats(allow_nan=False, allow_infinity=False), max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["pool", "spread", "const", "neg"]),
+                          min_size=1, max_size=6))
+    cols = []
+    for kind in kinds:
+        if kind == "pool":
+            cols.append(rng.choice(pool, n))
+        elif kind == "spread":
+            cols.append(rng.normal(size=n) * 10.0 ** rng.integers(-320, 300, n))
+        elif kind == "const":
+            cols.append(np.full(n, draw(st.sampled_from(pool))))
+        else:
+            cols.append(-cols[-1] if cols else np.zeros(n))
+    scale = draw(st.sampled_from([1e-05, 0.01, 1.0, 1e+16]))
+    times = (np.cumsum(rng.uniform(0.5, 1.5, n)) - n / 2) * scale
+    return TimeSeries(times, {f"c{k}": c for k, c in enumerate(cols)})
+
+
+# no shrink phase: a record is its seed, so shrinking it would take minutes
+# of full-size retries and end no simpler; a failure shows the draw as is
+@settings(derandomize=True, deadline=None, max_examples=60,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(records())
+def test_csv_writer_matches_per_value_repr(series):
+    out = io.StringIO()
+    series.write_csv(out)
+    assert out.getvalue() == per_value_csv(series)
