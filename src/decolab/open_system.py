@@ -244,9 +244,10 @@ def spin_bath_reduced_dynamics(params, times):
     Omega_b = sum_k g_k z_k and w_b the Born weights of the bath bit
     string b.  Omega and w both split over the bath halves (Omega adds,
     w multiplies), so the sum is the product of the two half-bath
-    :func:`~decolab.continuum.phase_sum` values: O(T 2^ceil(n/2)) work in
-    numpy einsums, never BLAS, so the bytes do not depend on the thread
-    count.  rho_10 = conj(rho_01).  Returns np.shape(times) + (2, 2).
+    :func:`~decolab.continuum.phase_sum` values: O(T 2^(ceil(n/2) - 1))
+    work, one term per distinct |Omega| of a half bath, in numpy einsums,
+    never BLAS, so the bytes do not depend on the thread count.  rho_10 =
+    conj(rho_01).  Returns np.shape(times) + (2, 2).
     """
     _check_spin_cap(params.n_spins)
     times = np.asarray(times, dtype=float)

@@ -33,7 +33,8 @@ from decolab.continuum import (
     sid_scenario,
 )
 from decolab.liouville import DimensionMismatchError
-from decolab.open_system import SpinBathParams, spin_bath_coherence
+from decolab.open_system import (SpinBathParams, spin_bath_coherence,
+                                 spin_bath_reduced_dynamics)
 
 
 @pytest.fixture(scope="module")
@@ -394,6 +395,71 @@ class TestPhaseSum:
         assert got.shape == ts.shape
         assert np.max(np.abs(got - direct)) <= 1e-12
         assert abs(phase_sum(nu, weights, ts[0, 0]) - direct[0, 0]) <= 1e-12
+
+    def test_folds_mirrored_and_repeated_frequencies(self):
+        # exact mirrors, a magnitude repeated on both sides, 0.0 and -0.0,
+        # and an unpaired remainder: each |nu| takes one cos and sin
+        rng = np.random.default_rng(23)
+        pairs = rng.uniform(0.1, 20.0, 6)
+        nu = np.concatenate([pairs, -pairs, [pairs[0], -pairs[1], -pairs[1]],
+                             [0.0, -0.0, 0.0], rng.uniform(-20.0, 20.0, 5)])
+        weights = rng.normal(size=nu.size) + 1j * rng.normal(size=nu.size)
+        ts = rng.uniform(-5.0, 30.0, 41)
+        direct = np.exp(-1j * np.multiply.outer(ts, nu)) @ weights
+        assert np.max(np.abs(phase_sum(nu, weights, ts) - direct)) <= 1e-12
+
+    @pytest.mark.parametrize("operand", ["nu", "weights", "t"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_refuses_a_non_finite_operand(self, operand, bad):
+        ops = {"nu": np.array([-1.0, 0.5, 1.0]),
+               "weights": np.array([0.2, 1.0j, 0.3]),
+               "t": np.array([0.0, 2.0])}
+        ops[operand] = np.where(np.arange(ops[operand].size) == 1, bad,
+                                ops[operand])
+        with pytest.raises(ValueError, match=f"{operand} has non-finite"):
+            phase_sum(**ops)
+
+    @pytest.mark.parametrize("nu, weights", [
+        (np.ones(3), np.ones(4)), (np.ones((2, 2)), np.ones((2, 2))),
+        (1.0, 1.0)], ids=["lengths", "2-d", "0-d"])
+    def test_refuses_operands_not_1d_of_one_length(self, nu, weights):
+        with pytest.raises(ValueError, match="1-d of one length"):
+            phase_sum(nu, weights, [0.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("route", ["expectation_sid",
+                                       "offdiag_contribution",
+                                       "spin_bath_reduced_dynamics"])
+    def test_routes_refuse_a_non_finite_time(self, gaussian, route, bad):
+        # unrefused, NaN came back silently and an infinite time gave NaN
+        # with a RuntimeWarning
+        calls = {
+            "expectation_sid": lambda t: expectation_sid(*gaussian, t),
+            "offdiag_contribution":
+                lambda t: offdiag_contribution(*gaussian, t),
+            "spin_bath_reduced_dynamics": lambda t: spin_bath_reduced_dynamics(
+                SpinBathParams((0.8, 1.3, 0.5), (0.4, 1.1, 2.0)), [0.0, t]),
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="t has non-finite"):
+                calls[route](bad)
+            calls[route](1.0)
+
+    def test_sid_pairing_takes_one_cos_per_lag_magnitude(self, gaussian,
+                                                         monkeypatch):
+        # a 400-point grid has 799 lags, mirrored, so 400 magnitudes
+        shapes, cos = [], np.cos
+
+        def spy(x, *args, **kwargs):
+            shapes.append(np.shape(x))
+            return cos(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "cos", spy)
+        expectation_sid(*gaussian, np.linspace(0.0, 4.0, 41))
+        assert shapes == [(41, 400)]
 
     def test_spin_bath_coherence_is_a_pairing_over_a_lag_measure(self):
         # prod_k [cos(g_k t) - i cos(theta_k) sin(g_k t)] is the

@@ -802,6 +802,14 @@ with tempfile.TemporaryDirectory() as tmp:
                  "samples = 100\\n[eid-spin-bath]\\nn_spins = 6\\n"
                  "bath_angle = random\\n")
     scenarios.run_scenario(scenarios.parse_config(ini), tmp)
+# a sid-kernel run, whose pairing folds the lags by |nu| with np.unique
+with tempfile.TemporaryDirectory() as tmp:
+    ini = os.path.join(tmp, "sid.ini")
+    with open(ini, "w") as fh:
+        fh.write("[scenario]\\nkind = sid-kernel\\nt_max = 12.0\\n"
+                 "samples = 80\\n[sid-kernel]\\nfamily = lorentzian\\n"
+                 "n = 150\\n")
+    scenarios.run_scenario(scenarios.parse_config(ini), tmp)
 # np.unique on floats would import numpy.ma, 1.3 MB of peak RSS
 assert "numpy.ma" not in sys.modules
 print(json.dumps(sorted(m for m in sys.modules

@@ -414,6 +414,36 @@ class TestSpinBathScenario:
         assert np.max(np.abs(series[:, 0, 0] - 0.6)) <= 1e-12
         assert np.max(np.abs(series[:, 1, 1] - 0.4)) <= 1e-12
 
+    def test_reduced_dynamics_on_a_degenerate_bath(self):
+        # 8 equal couplings: Omega takes 9 values, each half bath 5, so the
+        # phase sums fold many bit strings onto each |Omega|
+        rng = np.random.default_rng(69)
+        params = SpinBathParams(
+            couplings=(0.7,) * 8,
+            angles=tuple(rng.uniform(0, np.pi, 8)),
+            amplitude_0=np.sqrt(0.35),
+            amplitude_1=np.sqrt(0.65) * np.exp(0.4j),
+        )
+        times = np.linspace(0.0, 25.0, 120)
+        series = spin_bath_reduced_dynamics(params, times)
+        coh = spin_bath_coherence(params, times)
+        assert np.max(np.abs(series[:, 0, 1] - coh)) <= 1e-12
+
+    def test_half_bath_takes_one_cos_per_energy_magnitude(self, monkeypatch):
+        # a 7-spin half bath has 128 energies in +/- pairs: 64 magnitudes
+        rng = np.random.default_rng(70)
+        params = SpinBathParams(couplings=tuple(rng.uniform(0.5, 1.5, 14)),
+                                angles=tuple(rng.uniform(0, np.pi, 14)))
+        shapes, cos = [], np.cos
+
+        def spy(x, *args, **kwargs):
+            shapes.append(np.shape(x))
+            return cos(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "cos", spy)
+        spin_bath_reduced_dynamics(params, np.linspace(0.0, 8.0, 300))
+        assert [s for s in shapes if len(s) == 2] == [(300, 64)] * 2
+
     def test_reduced_dynamics_is_exactly_hermitian(self):
         rng = np.random.default_rng(64)
         params = SpinBathParams(
