@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .liouville import (HERMITICITY_TOL, DimensionMismatchError,
+from .liouville import (_TILE, HERMITICITY_TOL, DimensionMismatchError,
                         require_hermitian)
 
 __all__ = [
@@ -241,19 +241,31 @@ def lag_measure(state, obs):
 
     On a uniform grid of step delta, C_ij = rho(w_i, w_j) O(w_j, w_i) q_i q_j
     evolves by e^{-i k delta t} for k = i - j, so it collapses to f_k =
-    sum_{i-j=k} C_ij at nu_k = k delta.  A spacing spread above 1e-12 of
-    the span is refused: :func:`discretized_unitary_oracle` pairs that grid.
+    sum_{i-j=k} C_ij at nu_k = k delta, summed in blocks of _TILE rows in
+    O(_TILE N) extra memory: row i, j descending, starts at column i of a
+    line of 2N - 1, so each column is one lag, and line 0 carries the
+    running f, summed down the columns in a bincount's order.  A spacing
+    spread above 1e-12 of the span is refused:
+    :func:`discretized_unitary_oracle` pairs that grid.
     """
     _same_grid(state.grid, obs.grid)
     g, n = state.grid, state.grid.size
     if np.ptp(np.diff(g.omega)) > 1e-12 * g.span:
         raise ValueError("the lag measure needs a uniform grid; pair a "
                          "non-uniform one with discretized_unitary_oracle")
-    cross = state.offdiag * obs.offdiag.T * np.outer(g.weights, g.weights)
-    lag = np.subtract.outer(np.arange(n), np.arange(n)).ravel() + (n - 1)
-    f = (np.bincount(lag, cross.real.ravel(), 2 * n - 1)
-         + 1j * np.bincount(lag, cross.imag.ravel(), 2 * n - 1))
-    return np.arange(1 - n, n) * (g.span / (n - 1)), f
+    q, m, b = g.weights, 2 * n - 1, min(_TILE, n)
+    # n spare entries: the sheared view of a full last line runs past it
+    flat = np.zeros((b + 1) * m + n, dtype=complex)
+    lines = flat[:(b + 1) * m].reshape(b + 1, m)
+    for i in range(0, n, b):
+        rows = min(b, n - i)
+        lines[1:rows + 1] = 0.0
+        block = flat[m + i:m + i + 2 * n * rows].reshape(rows, 2 * n)[:, :n]
+        np.multiply(state.offdiag[i:i + rows, ::-1],
+                    obs.offdiag[::-1, i:i + rows].T, out=block)
+        block *= np.outer(q[i:i + rows], q[::-1])
+        lines[0] = lines[:rows + 1].sum(axis=0)
+    return np.arange(1 - n, n) * (g.span / (n - 1)), lines[0].copy()
 
 
 def phase_sum(nu, weights, t):
@@ -415,30 +427,29 @@ def _bilinear(nodes, values, targets):
 # ---------------------------------------------------------------------------
 
 def discretized_unitary_oracle(state, obs, t):
-    """Brute-force pairing via explicit matrix representations.
+    """Brute-force pairing, entry by entry, on any grid.
 
-    Each sector is represented as an N x N matrix with quadrature weights
-    folded in: the diagonal sector as diag(q * rho(w)), the kernel sector
-    as sqrt(q_i q_j) rho(w_i, w_j).  The diagonal Hamiltonian evolves the
-    kernel matrix entrywise as rho_ij e^{-i(w_i - w_j)t}; the pairing is
-    the sector-wise sum of Tr(rho(t) O).  The sectors never mix (the
-    kernel algebra is a direct sum), which is what makes this an honest
-    rephrasing of the quadrature rather than a second copy of it.
-    Grids beyond ORACLE_GRID_CAP points are refused.
+    With quadrature weights q, the diagonal sector is sum_i q_i rho(w_i)
+    O(w_i) and the kernel sector sum_ij q_i q_j rho(w_i, w_j) e^{-i(w_i -
+    w_j)t} O(w_j, w_i): H evolves each kernel entry by its own phase, e_i
+    conj(e_j) with e = q e^{-iwt}.  The sectors never mix (the kernel
+    algebra is a direct sum), no lag is collapsed and no +-nu folded: an
+    honest rephrasing of the quadrature, not a second copy of it.  O(N^2)
+    time and O(N) extra memory per t, in ``np.einsum``, not BLAS.  A
+    non-finite ``t`` and grids beyond ORACLE_GRID_CAP points are refused.
     """
     _same_grid(state.grid, obs.grid)
     g = state.grid
     if g.size > ORACLE_GRID_CAP:
         raise ValueError(
             f"oracle capped at N = {ORACLE_GRID_CAP}, grid has {g.size}")
-    sq = np.sqrt(g.weights)
-    rho_diag = np.diag(g.weights * state.diag)
-    obs_diag = np.diag(obs.diag)
-    rho_kern = np.outer(sq, sq) * state.offdiag
-    obs_kern = np.outer(sq, sq) * obs.offdiag
-    phase = np.exp(-1j * float(t) * np.subtract.outer(g.omega, g.omega))
-    val = np.trace(rho_diag @ obs_diag) + np.trace((rho_kern * phase) @ obs_kern)
-    return float(val.real)
+    t = float(t)
+    if not np.isfinite(t):
+        raise ValueError(f"oracle: t = {t} is not finite")
+    e = g.weights * np.exp(-1j * t * g.omega)
+    kern = np.einsum("i,ij,ji,j", e, state.offdiag, obs.offdiag, e.conj())
+    return float(np.einsum("i,i,i", g.weights, state.diag, obs.diag)
+                 + kern.real)
 
 
 # ---------------------------------------------------------------------------
@@ -514,13 +525,21 @@ def family_kernel(grid, family, center, width, cross_width):
     1 / (1 + ((w-w') / cross_width)^2) for "lorentzian".
     """
     w = grid.omega
-    mean = 0.5 * np.add.outer(w, w)
-    diff = np.subtract.outer(w, w)
-    com = np.exp(-((mean - center) ** 2) / (2 * width ** 2))
+    com, diff = np.add.outer(w, w), np.subtract.outer(w, w)
+    com *= 0.5
+    com -= center
+    com *= com
+    com /= -2 * width ** 2
+    np.exp(com, out=com)
     if family == "gaussian":
-        return com * np.exp(-(diff ** 2) / (4 * cross_width ** 2))
+        diff *= diff
+        diff /= -4 * cross_width ** 2
+        return np.multiply(com, np.exp(diff, out=diff), out=com)
     if family == "lorentzian":
-        return com / (1.0 + (diff / cross_width) ** 2)
+        diff /= cross_width
+        diff *= diff
+        diff += 1.0
+        return np.divide(com, diff, out=com)
     raise ValueError(f"unknown kernel family {family!r}")
 
 

@@ -384,6 +384,80 @@ class TestEnvelopeOracles:
         assert abs(curvature - c * c) <= tail + trunc + roundoff
 
 
+# tile and block edges of the lag sums and the Hermiticity check (128)
+EDGE_SIZES = [16, 127, 128, 129, 257, 400]
+
+
+def bincount_lag_measure(state, obs):
+    """The lag sums as one bincount over the flat C, the reference order."""
+    n = state.grid.size
+    cross = cross_kernel(state, obs)
+    lag = np.subtract.outer(np.arange(n), np.arange(n)).ravel() + (n - 1)
+    return (np.bincount(lag, cross.real.ravel(), 2 * n - 1)
+            + 1j * np.bincount(lag, cross.imag.ravel(), 2 * n - 1))
+
+
+def outer_family_kernel(grid, family, center, width, cross_width):
+    """:func:`family_kernel` as whole-array expressions, the reference."""
+    w = grid.omega
+    mean = 0.5 * np.add.outer(w, w)
+    diff = np.subtract.outer(w, w)
+    com = np.exp(-((mean - center) ** 2) / (2 * width ** 2))
+    if family == "gaussian":
+        return com * np.exp(-(diff ** 2) / (4 * cross_width ** 2))
+    return com / (1.0 + (diff / cross_width) ** 2)
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockedSums:
+    @pytest.mark.parametrize("n", EDGE_SIZES)
+    def test_lag_sums_are_the_bincount_bytes(self, n):
+        # lag 0 and the far lags hold only -0.0 products, a band only
+        # +0.0 ones: a column sum that did not start from +0.0, as
+        # bincount does, would keep the sign of -0.0
+        rng = np.random.default_rng(n)
+        g = EnergyGrid.uniform(0.0, 10.0, n)
+        lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        rho = random_hermitian(rng, n)
+        negative = (lag == 0) | (lag > n // 2)
+        rho[negative] = complex(-0.0, 0.0)
+        rho[lag == n // 4] = 0.0
+        o = random_hermitian(rng, n)
+        o[negative] = 1.0
+        state = VanHoveState(g, uniform_state(g).diag, rho)
+        obs = VanHoveObservable(g, g.omega.copy(), o)
+        cross = cross_kernel(state, obs)
+        assert np.all((cross.real[negative] == 0)
+                      & np.signbit(cross.real[negative]))
+        assert np.all(cross[lag == n // 4] == 0)
+        nu, f = lag_measure(state, obs)
+        want = bincount_lag_measure(state, obs)
+        assert f.tobytes() == want.tobytes()
+        assert_array_equal(nu, np.arange(1 - n, n) * (10.0 / (n - 1)))
+
+    @pytest.mark.parametrize("family", ["gaussian", "lorentzian"])
+    @pytest.mark.parametrize("n", EDGE_SIZES)
+    def test_family_kernel_is_the_whole_array_bytes(self, n, family):
+        g = EnergyGrid.uniform(0.0, 10.0, n)
+        for args in ((5.0, 1.2, 0.5), (3.3, 0.7, 1.9)):
+            got = family_kernel(g, family, *args)
+            want = outer_family_kernel(g, family, *args)
+            assert got.tobytes() == want.tobytes()
+
+    def test_lag_sums_at_the_grid_cap_stay_in_blocks(self):
+        # n = 2000: the flat lag index and a copy of C would take 122 MB
+        state, obs = family_pair("lorentzian", 2000, 0.5)
+        assert traced_peak(lambda: lag_measure(state, obs)) < 20e6
+
+
 class TestPhaseSum:
     def test_matches_the_complex_exponential_sum(self):
         rng = np.random.default_rng(21)
@@ -774,6 +848,39 @@ class TestDiscretizedOracle:
         obs = VanHoveObservable(g, g.omega.copy())
         with pytest.raises(ValueError, match="capped"):
             discretized_unitary_oracle(state, obs, 0.0)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_refused(self, gaussian, t):
+        state, obs = gaussian
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"\bt = .* is not finite"):
+                discretized_unitary_oracle(state, obs, t)
+
+    def test_matches_the_matrix_product_form_on_a_non_uniform_grid(self):
+        rng = np.random.default_rng(31)
+        g = EnergyGrid(np.sort(rng.uniform(0.0, 10.0, 150)))
+        diag = np.exp(-(g.omega - 5.0) ** 2)
+        state = VanHoveState(g, diag / float(np.sum(g.weights * diag)),
+                             random_hermitian(rng, g.size))
+        obs = VanHoveObservable(g, rng.normal(size=g.size),
+                                random_hermitian(rng, g.size))
+        sq = np.sqrt(g.weights)
+        rho_kern = np.outer(sq, sq) * state.offdiag
+        obs_kern = np.outer(sq, sq) * obs.offdiag
+        for t in (0.0, 0.7, -2.3, 9.1):
+            phase = np.exp(-1j * t * np.subtract.outer(g.omega, g.omega))
+            want = float((np.trace(np.diag(g.weights * state.diag)
+                                   @ np.diag(obs.diag))
+                          + np.trace((rho_kern * phase) @ obs_kern)).real)
+            got = discretized_unitary_oracle(state, obs, t)
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_no_n_by_n_temporaries(self, gaussian):
+        # at N = 400 an N x N complex phase matrix alone takes 2.6 MB
+        state, obs = gaussian
+        assert traced_peak(
+            lambda: discretized_unitary_oracle(state, obs, 1.3)) < 1e6
 
 
 class TestKernelDiagnostics:

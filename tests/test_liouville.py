@@ -1,5 +1,6 @@
 """Core Liouville-space algebra: vectorization, pairing, projectors."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,8 +20,10 @@ from decolab.liouville import (
     build_projector,
     coarse_grain,
     diagonal_projector,
+    hermitian_deviation,
     pairing,
     projector_defect,
+    require_hermitian,
     unvec,
     validate_density,
     validate_observable,
@@ -197,6 +200,43 @@ def test_non_finite_operand_refused(entry, case, tmp_path):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="finite"):
             NON_FINITE_ENTRY_POINTS[entry](m, tmp_path)
+
+
+class TestTiledHermiticity:
+    """The check works in 128 x 128 tiles; sizes straddle their edges."""
+
+    @pytest.mark.parametrize("n", [16, 127, 128, 129, 257, 400])
+    def test_equals_the_whole_matrix_deviation(self, n):
+        rng = np.random.default_rng(n)
+        h = random_hermitian(rng, n)
+        m = h + 1e-3 * rng.normal(size=(n, n))
+        for a in (h, m, m.real):
+            assert hermitian_deviation(a) == np.max(np.abs(a - a.conj().T))
+
+    @pytest.mark.parametrize("where, value", [((200, 5), np.nan),
+                                              ((250, 250), np.inf)],
+                             ids=["nan-lower-tile", "inf-on-diagonal"])
+    def test_non_finite_entry_in_any_tile_refused(self, where, value):
+        m = random_hermitian(np.random.default_rng(3), 300)
+        m[where] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(hermitian_deviation(m))
+            with pytest.raises(InvalidStateError, match="not finite"):
+                require_hermitian(m, 1e-12, "kernel")
+
+    def test_extra_memory_is_one_tile(self):
+        # n = 2000: whole-matrix temporaries would take 122 MB
+        w = np.linspace(0.0, 1.0, 2000)
+        m = np.add.outer(w, w) + 1j * np.subtract.outer(w, w)
+        tracemalloc.start()
+        try:
+            dev = hermitian_deviation(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dev == 0.0
+        assert peak < 2e6
 
 
 class TestProjectorConstruction:
