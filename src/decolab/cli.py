@@ -1,23 +1,20 @@
-"""Command-line front end: run scenarios, fit records, compare reports.
+"""Command-line front end: run scenarios, fit records, compare reports,
+print a config's oracle record.
 
 Everything here is a thin shell over :mod:`decolab.scenarios` and
-:mod:`decolab.fits`; library users can call those directly.
+:mod:`decolab.fits`; library users can call those directly.  ``run`` and
+``oracle`` read the same config and reach its system through the same
+builder, so an oracle record states the system its run evolves.
 """
 
 import argparse
 import functools
 import json
-import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import scenarios
-from .continuum import discretized_unitary_oracle, gaussian_scenario
 from .fits import fit_decoherence_time, fit_relaxation_time, ordering_report
-from .master_eq import dissipative_toy
-from .open_system import SpinBathParams, spin_bath_coherence
 from .timeseries import TimeSeries
 
 
@@ -69,9 +66,9 @@ def build_parser():
                            "(default: <reports>/comparison.json)")
 
     orc = sub.add_parser("oracle", parents=[seed],
-                         help="print the brute-force reference record for a "
-                              "stock scenario")
-    orc.add_argument("--scenario", required=True, choices=scenarios.KINDS)
+                         help="print the closed-form or brute-force "
+                              "reference record of a scenario config")
+    orc.add_argument("--config", required=True, help="scenario config file")
     return parser
 
 
@@ -149,36 +146,8 @@ def _cmd_compare(args):
 
 
 def _cmd_oracle(args):
-    # fixed reference configurations, small enough to check by eye
-    seed = 0 if args.seed is None else args.seed
-    if args.scenario == "eid-spin-bath":
-        rng = np.random.default_rng(seed)
-        n = 8
-        params = SpinBathParams(couplings=rng.uniform(0.5, 1.5, n),
-                                angles=np.full(n, math.pi / 2))
-        times = np.linspace(0.0, 8.0, 81)
-        channels = {"coherence_modulus":
-                    np.abs(spin_bath_coherence(params, times))}
-    elif args.scenario == "sid-kernel":
-        state, obs = gaussian_scenario()
-        times = np.linspace(0.0, 8.0, 81)
-        channels = {"expectation": [discretized_unitary_oracle(state, obs, t)
-                                    for t in times]}
-    else:
-        # closed form for the toy: every coherence decays at the same
-        # rate, the population gap closes at the relaxation rate
-        toy = dissipative_toy()
-        times = np.linspace(0.0, 30.0, 121)
-        p0 = np.real(np.diag(toy.rho0))
-        p_star = np.asarray(toy.equilibrium, dtype=float)
-        off0 = toy.rho0 - np.diag(np.diag(toy.rho0))
-        channels = {
-            "offdiag_modulus": float(np.linalg.norm(off0))
-            * np.exp(-toy.gamma_decohere * times),
-            "diag_distance": float(np.linalg.norm(p0 - p_star))
-            * np.exp(-toy.gamma_relax * times),
-        }
-    TimeSeries(times=times, channels=channels).write_csv(sys.stdout)
+    config = scenarios.parse_config(args.config, seed=args.seed)
+    scenarios.oracle_series(config).write_csv(sys.stdout)
     return 0
 
 

@@ -127,7 +127,7 @@ class EnergyGrid:
 
 
 def _check_kernel(grid, kernel, what):
-    k = _frozen(kernel, complex)
+    k = _frozen(kernel, complex if np.iscomplexobj(kernel) else float)
     n = grid.size
     if k.shape != (n, n):
         raise DimensionMismatchError(
@@ -140,7 +140,8 @@ def _validate_kernels(obj, offdiag_field, what):
     """Check and freeze ``obj.diag`` and its regular off-diagonal kernel.
 
     The diagonal must match the grid and be finite.  A given kernel is
-    copied once and checked once; a missing one is a read-only zero view
+    copied once, float64 if real and complex128 otherwise (half the memory
+    for a real one), and checked once; a missing one is a read-only zero view
     of O(1) memory, never checked: zero is Hermitian.  Returns the diagonal.
     """
     grid = obj.grid

@@ -415,7 +415,15 @@ class DissipativeToy:
 
 
 def dissipative_toy(gamma_decohere=1.0, gamma_relax=0.2):
-    """The named d=3 fixture: t_D = 1/gamma_decohere, t_R = 1/gamma_relax."""
+    """The named d=3 fixture: t_D = 1/gamma_decohere, t_R = 1/gamma_relax.
+
+    Rates whose generator is not completely positive raise ``ValueError``:
+    G generates a completely positive semigroup exactly when its Choi
+    matrix sum_ij |i><j| (x) G(|i><j|), projected off the maximally
+    entangled vector, is positive semidefinite (Lindblad 1976; Gorini,
+    Kossakowski and Sudarshan 1976).  The tolerance is roundoff on G's
+    largest entry, so the frequencies' rounding cannot refuse tiny rates.
+    """
     d = 3
     p_star = np.array([0.5, 0.3, 0.2])
     freqs = np.array([0.0, 1.3, 2.9])
@@ -424,6 +432,16 @@ def dissipative_toy(gamma_decohere=1.0, gamma_relax=0.2):
     # linear by trace conservation as dp/dt = gamma (p* 1^T - I) p
     pops = np.arange(d) * (d + 1)
     gen[np.ix_(pops, pops)] = gamma_relax * (p_star[:, None] - np.eye(d))
+    # choi[(i, a), (j, b)] = G(|i><j|)[a, b] = gen[a + d b, i + d j]
+    choi = gen.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, -1)
+    # projector off the maximally entangled vector sum_i |ii> / sqrt(d)
+    off = np.eye(d * d) - np.outer(np.eye(d), np.eye(d)) / d
+    low = float(np.linalg.eigvalsh(off @ choi @ off).min())
+    if not low >= -d * d * np.finfo(float).eps * np.abs(gen).max():
+        raise ValueError(
+            f"gamma_decohere = {gamma_decohere!r} and gamma_relax = "
+            f"{gamma_relax!r} give a generator that is not completely "
+            f"positive: its projected Choi matrix has eigenvalue {low:.3e}")
     v = np.sqrt(np.array([0.2, 0.5, 0.3], dtype=complex))
     rho0 = np.outer(v, v.conj())
     return DissipativeToy(gen, p_star, float(gamma_decohere),

@@ -18,12 +18,13 @@ import numpy as np
 
 from . import fits
 # gaussian_scenario is unused here; perfbench's tracer binds it at this name
-from .continuum import (EnergyGrid, expectation_sid, family_kernel,  # noqa: F401
-                        gaussian_scenario, hamiltonian_observable,
-                        load_table_kernel, sid_limit, sid_scenario)
+from .continuum import (EnergyGrid, discretized_unitary_oracle,  # noqa: F401
+                        expectation_sid, family_kernel, gaussian_scenario,
+                        hamiltonian_observable, load_table_kernel, sid_limit,
+                        sid_scenario)
 from .master_eq import dissipative_toy, evolve_linear_generator
 from .open_system import (SPIN_CAP, SpinBathParams, purity,
-                          spin_bath_recurrence_window,
+                          spin_bath_coherence, spin_bath_recurrence_window,
                           spin_bath_reduced_dynamics)
 from .timeseries import TimeSeries
 
@@ -213,6 +214,12 @@ def parse_config(path, seed=None, tol_overrides=None):
             and (params["family"] == "table") != bool(params["kernel_csv"]):
         raise ConfigError("[sid-kernel] key 'kernel_csv' is required when "
                           "family = table, and read only then")
+    if kind == "master-eq-toy":
+        try:
+            dissipative_toy(**params)
+        except ValueError as exc:
+            raise ConfigError("[master-eq-toy] keys 'gamma_decohere' and "
+                              f"'gamma_relax': {exc}") from None
     tolerances = parse_tolerances(tol_overrides, cp)
     return ScenarioConfig(kind=kind, name=name,
                           seed=seed if seed is not None else cfg_seed,
@@ -260,7 +267,8 @@ def _summary(config, times, decay, relax, watched, monitored,
     }
 
 
-def _run_eid(config):
+def _spin_bath(config):
+    """The seeded bath of an eid-spin-bath ``config``."""
     p = config.params
     rng = np.random.default_rng(config.seed)
     n = p["n_spins"]
@@ -270,9 +278,13 @@ def _run_eid(config):
     else:
         angles = np.full(n, float(p["bath_angle"]))
     amp0 = p["amp0"]
-    params = SpinBathParams(couplings=couplings, angles=angles,
-                            amplitude_0=amp0,
-                            amplitude_1=math.sqrt(1.0 - amp0 ** 2))
+    return SpinBathParams(couplings=couplings, angles=angles,
+                          amplitude_0=amp0,
+                          amplitude_1=math.sqrt(1.0 - amp0 ** 2))
+
+
+def _run_eid(config):
+    params = _spin_bath(config)
     times = np.linspace(0.0, config.t_max, config.samples)
     rhos = spin_bath_reduced_dynamics(params, times)
 
@@ -285,7 +297,7 @@ def _run_eid(config):
     channels["offdiag_modulus"] = np.abs(rhos[:, 0, 1])
     series = TimeSeries(times=times, channels=channels)
 
-    recurrence = spin_bath_recurrence_window(couplings)
+    recurrence = spin_bath_recurrence_window(params.couplings)
     if not math.isfinite(recurrence):
         recurrence = None
     # pure dephasing: populations are constants of motion, so the
@@ -298,7 +310,8 @@ def _run_eid(config):
     return series, summary
 
 
-def _run_sid(config):
+def _sid_pair(config):
+    """The (state, observable) pair of a sid-kernel ``config``."""
     p = config.params
     grid = EnergyGrid.uniform(0.0, p["omega_max"], p["n"])
     if p["family"] == "table":
@@ -306,10 +319,11 @@ def _run_sid(config):
     else:
         kernel = family_kernel(grid, p["family"], p["center"], p["width"],
                                p["cross_width"])
-    state, obs = sid_scenario(grid, kernel, p["center"], p["width"],
-                              p["amplitude"])
-    del kernel  # state and obs hold copies; free it before the evolution
+    return sid_scenario(grid, kernel, p["center"], p["width"], p["amplitude"])
 
+
+def _run_sid(config):
+    state, obs = _sid_pair(config)
     times = np.linspace(0.0, config.t_max, config.samples)
     expect = expectation_sid(state, obs, times)
     # H has no regular kernel, so its pairing is sid_limit at every time
@@ -330,9 +344,7 @@ def _run_sid(config):
 
 
 def _run_toy(config):
-    p = config.params
-    toy = dissipative_toy(gamma_decohere=p["gamma_decohere"],
-                          gamma_relax=p["gamma_relax"])
+    toy = dissipative_toy(**config.params)
     times = np.linspace(0.0, config.t_max, config.samples)
     states = evolve_linear_generator(toy.generator, toy.rho0, times)
     p_star = np.asarray(toy.equilibrium, dtype=float)
@@ -360,6 +372,30 @@ _RUNNERS = {
     "sid-kernel": _run_sid,
     "master-eq-toy": _run_toy,
 }
+
+
+def oracle_series(config):
+    """``config``'s reference record at its run's times, under its run's
+    channel names: the closed-form coherence (eid-spin-bath), the toy's two
+    exponentials, or :func:`discretized_unitary_oracle` at every sample
+    (sid-kernel: ``ValueError`` beyond ORACLE_GRID_CAP grid points)."""
+    times = np.linspace(0.0, config.t_max, config.samples)
+    if config.kind == "eid-spin-bath":
+        coherence = spin_bath_coherence(_spin_bath(config), times)
+        channels = {"offdiag_modulus": np.abs(coherence)}
+    elif config.kind == "sid-kernel":
+        state, obs = _sid_pair(config)
+        channels = {"expectation": [discretized_unitary_oracle(state, obs, t)
+                                    for t in times]}
+    else:
+        toy = dissipative_toy(**config.params)
+        rho0 = toy.rho0
+        off0 = np.linalg.norm(rho0 - np.diag(np.diag(rho0)))
+        gap0 = np.linalg.norm(np.diag(rho0).real - toy.equilibrium)
+        channels = {
+            "offdiag_modulus": off0 * np.exp(-toy.gamma_decohere * times),
+            "diag_distance": gap0 * np.exp(-toy.gamma_relax * times)}
+    return TimeSeries(times=times, channels=channels)
 
 
 def run_scenario(config, out_dir):

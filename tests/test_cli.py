@@ -11,6 +11,7 @@ import pytest
 
 import decolab
 from decolab.cli import main
+from decolab.continuum import ORACLE_GRID_CAP
 
 TOY_CONFIG = """
 [scenario]
@@ -122,8 +123,7 @@ class TestFlags:
         (["compare", "--reports", "r"],
          ["--tol-override", "fit_floor_log=nan"]),
         (["fit", "--series", "s.csv"], ["--seed", "1"]),
-        (["oracle", "--scenario", "master-eq-toy"],
-         ["--tol-override", "nope=1"]),
+        (["oracle", "--config", "c.ini"], ["--tol-override", "nope=1"]),
     ])
     def test_flag_a_subcommand_does_not_read_is_refused(self, command, flag,
                                                         capsys):
@@ -347,32 +347,58 @@ class TestCompareCommand:
 
 
 class TestOracleCommand:
+    CONFIGS = {"eid-spin-bath": EID_CONFIG, "sid-kernel": SID_CONFIG,
+               "master-eq-toy": TOY_CONFIG}
+
+    # the run's channel names, over the run's times
     @pytest.mark.parametrize("name,header", [
-        ("eid-spin-bath", "t,coherence_modulus"),
+        ("eid-spin-bath", "t,offdiag_modulus"),
         ("sid-kernel", "t,expectation"),
         ("master-eq-toy", "t,offdiag_modulus,diag_distance"),
     ])
-    def test_prints_reference_record(self, name, header, capsys):
-        assert main(["oracle", "--scenario", name]) == 0
+    def test_prints_reference_record(self, name, header, tmp_path, capsys):
+        cfg = write(tmp_path, self.CONFIGS[name], "c.ini")
+        assert main(["oracle", "--config", cfg]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == header
         assert len(lines) > 50
         first = [float(x) for x in lines[1].split(",")]
         assert first[0] == 0.0
 
-    def test_deterministic_output(self, capsys):
-        main(["oracle", "--scenario", "eid-spin-bath", "--seed", "5"])
+    def test_deterministic_output(self, tmp_path, capsys):
+        cfg = write(tmp_path, EID_CONFIG, "bath.ini")
+        main(["oracle", "--config", cfg, "--seed", "5"])
         first = capsys.readouterr().out
-        main(["oracle", "--scenario", "eid-spin-bath", "--seed", "5"])
+        main(["oracle", "--config", cfg, "--seed", "5"])
         second = capsys.readouterr().out
         assert first == second
 
-    def test_seed_changes_bath_draw(self, capsys):
-        main(["oracle", "--scenario", "eid-spin-bath", "--seed", "5"])
+    def test_seed_changes_bath_draw(self, tmp_path, capsys):
+        cfg = write(tmp_path, EID_CONFIG, "bath.ini")
+        main(["oracle", "--config", cfg, "--seed", "5"])
         first = capsys.readouterr().out
-        main(["oracle", "--scenario", "eid-spin-bath", "--seed", "6"])
+        main(["oracle", "--config", cfg, "--seed", "6"])
         second = capsys.readouterr().out
         assert first != second
+        # --seed overrides the config's seed, as for run
+        seeded = write(tmp_path, EID_CONFIG.replace(
+            "samples = 100", "samples = 100\nseed = 6"), "seeded.ini")
+        main(["oracle", "--config", seeded])
+        assert capsys.readouterr().out == second
+
+    def test_grid_beyond_the_cap_is_refused(self, tmp_path, capsys):
+        cfg = write(tmp_path, SID_CONFIG.replace("n = 150", "n = 2000"),
+                    "sid2000.ini")
+        assert main(["oracle", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert f"oracle capped at N = {ORACLE_GRID_CAP}" in captured.err
+
+    def test_scenario_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--scenario", "sid-kernel"])
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
 
 
 # Every subcommand in one fresh interpreter, then the windowed memory route,
@@ -394,8 +420,8 @@ with contextlib.redirect_stdout(io.StringIO()):
                      "--out", str(out)]) == 0
         assert main(["fit", "--series", str(out / f"{name}.csv")]) == 0
     assert main(["compare", "--reports", str(out)]) == 0
-    for kind in ("eid-spin-bath", "sid-kernel", "master-eq-toy"):
-        assert main(["oracle", "--scenario", kind]) == 0
+    for name in ("toy", "kernel", "bath"):
+        assert main(["oracle", "--config", str(work / f"{name}.ini")]) == 0
 h = np.array([[0.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 2.5]])
 with warnings.catch_warnings():
     warnings.simplefilter("ignore", RuntimeWarning)  # the truncation

@@ -152,6 +152,19 @@ class TestTypeInvariants:
         assert np.array_equal(state.offdiag, np.ones((3, 3)))
         assert not state.offdiag.flags.writeable
 
+    def test_real_kernel_stays_real_complex_stays_complex(self, gaussian,
+                                                          tmp_path):
+        # the stock pair holds its real kernel in float64, half the memory
+        state, obs = gaussian
+        assert state.offdiag.dtype == obs.offdiag.dtype == np.float64
+        g = EnergyGrid.uniform(0.0, 1.0, 2)
+        path = tmp_path / "kernel.csv"
+        path.write_text("0.0,0.0,1.0,0.0\n0.0,1.0,0.5,0.25\n"
+                        "1.0,0.0,0.5,-0.25\n1.0,1.0,1.0,0.0\n")
+        state = VanHoveState(g, np.ones(2), load_table_kernel(path, g))
+        assert state.offdiag.dtype == np.complex128
+        assert state.offdiag[0, 1] == 0.5 + 0.25j
+
     def test_observable_rejects_non_finite(self):
         g = EnergyGrid.uniform(0.0, 1.0, 3)
         kern = np.zeros((3, 3))

@@ -1060,6 +1060,28 @@ class TestDissipativeToy:
         assert evolve_linear_generator(
             np.eye(9), np.full((3, 3), 1 / 3), [0.0, 1.0]).shape == (2, 3, 3)
 
+    # the defaults, perfbench's draw corners and a seeded draw from its
+    # ranges, and a ratio just above the measured threshold 0.75486
+    @pytest.mark.parametrize("rates", [
+        (1.0, 0.2), (0.8, 0.12), (0.8, 0.3), (1.6, 0.12), (1.6, 0.3),
+        *np.random.default_rng(5).uniform((0.8, 0.12), (1.6, 0.3), (8, 2)),
+        (0.7549, 1.0)])
+    def test_completely_positive_rates_accepted(self, rates):
+        toy = dissipative_toy(*rates)
+        # Choi matrix from G's action on each |i><j|, projected off the
+        # maximally entangled vector: PSD to roundoff
+        d = 3
+        units = np.eye(d * d).reshape(d * d, d, d)
+        choi = sum(np.kron(e, unvec(toy.generator @ vec(e))) for e in units)
+        omega = vec(np.eye(d)) / np.sqrt(d)
+        off = np.eye(d * d) - np.outer(omega, omega)
+        assert np.linalg.eigvalsh(off @ choi @ off).min() >= -1e-14
+
+    @pytest.mark.parametrize("rates", [(0.05, 1.0), (0.7548, 1.0)])
+    def test_rates_not_completely_positive_refused(self, rates):
+        with pytest.raises(ValueError, match="not completely positive"):
+            dissipative_toy(*rates)
+
     def test_rates_are_separated(self):
         toy = dissipative_toy()
         assert 1.0 / toy.gamma_relax >= 2.0 / toy.gamma_decohere

@@ -16,8 +16,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 import decolab
 from decolab.open_system import SpinBathParams, spin_bath_coherence
 from decolab.scenarios import (_FINITE, _PARAMS, _POSITIVE, _TOLERANCES,
-                               ConfigError, ScenarioConfig, parse_config,
-                               run_scenario)
+                               ConfigError, ScenarioConfig, oracle_series,
+                               parse_config, run_scenario)
 from decolab.timeseries import TimeSeries
 
 
@@ -288,6 +288,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="kernel_csv"):
             parse_config(write_config(tmp_path, bad))
 
+    def test_toy_rates_not_completely_positive_refused(self, tmp_path):
+        # the run would write states with negative eigenvalues, unflagged
+        bad = TOY_CONFIG.replace("gamma_decohere = 1.0",
+                                 "gamma_decohere = 0.05").replace(
+            "gamma_relax = 0.2", "gamma_relax = 1.0")
+        with pytest.raises(ConfigError,
+                           match="keys 'gamma_decohere' and 'gamma_relax'.*"
+                                 "not completely positive"):
+            parse_config(write_config(tmp_path, bad))
+
     def test_random_angles_accepted(self, tmp_path):
         cfg = parse_config(write_config(
             tmp_path, EID_CONFIG + "bath_angle = random\n"))
@@ -463,3 +473,26 @@ class TestToyRunner:
         total = (result.series.channel("p0") + result.series.channel("p1")
                  + result.series.channel("p2"))
         assert np.max(np.abs(total - 1.0)) <= 1e-10
+
+
+class TestOracleSeries:
+    """The oracle reads the run's config and states the system it evolves."""
+
+    # each kind's acceptance tolerance: 1e-10 for the spin bath, 1e-8 for
+    # the kernel pairing; the toy's closed form is checked to 1e-12
+    @pytest.mark.parametrize("case,bound", [
+        ("eid", 1e-10), ("eid-random", 1e-10), ("sid", 1e-8),
+        ("table", 1e-8), ("toy", 1e-12)])
+    def test_run_and_oracle_agree(self, tmp_path, case, bound):
+        if case == "table":
+            text = table_config(tmp_path, n=60, tilt=0.8)
+        else:
+            text = {"eid": EID_CONFIG, "sid": SID_CONFIG, "toy": TOY_CONFIG,
+                    "eid-random": EID_CONFIG
+                    + "bath_angle = random\namp0 = 0.6\n"}[case]
+        config = parse_config(write_config(tmp_path, text))
+        run = run_scenario(config, tmp_path / "out").series
+        oracle = oracle_series(config)
+        assert_array_equal(oracle.times, run.times)
+        for name, values in oracle.channels.items():
+            assert np.max(np.abs(values - run.channel(name))) <= bound
