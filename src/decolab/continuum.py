@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .liouville import (_TILE, HERMITICITY_TOL, DimensionMismatchError,
-                        require_hermitian)
+                        _finite_times, require_hermitian)
 
 __all__ = [
     "EnergyGrid",
@@ -274,13 +274,13 @@ def phase_sum(nu, weights, t):
 
     U counts the distinct |nu_k|: with E_u, O_u the sums of w_k and
     sgn(nu_k) w_k over |nu_k| = u, it is E_u cos(u t) - i O_u sin(u t).
-    Non-finite operands, or nu and weights not 1-d of one length, are
-    refused.  Real arithmetic in ``np.einsum``, not BLAS, so the bytes do
-    not depend on the BLAS thread count.
+    Non-finite operands (t by the check all routes share), or nu and
+    weights not 1-d of one length, are refused.  Real arithmetic in
+    ``np.einsum``, not BLAS, so the bytes do not depend on BLAS threads.
     """
-    nu, t = np.asarray(nu, dtype=float), np.asarray(t, dtype=float)
+    nu, t = np.asarray(nu, dtype=float), _finite_times(t)
     w = np.asarray(weights, dtype=complex)
-    for name, x in (("nu", nu), ("weights", w), ("t", t)):
+    for name, x in (("nu", nu), ("weights", w)):
         if not np.isfinite(x).all():
             raise ValueError(f"phase_sum: {name} has non-finite entries")
     if nu.ndim != 1 or w.shape != nu.shape:
@@ -427,8 +427,13 @@ def _bilinear(nodes, values, targets):
 # independent oracle: phases on explicit matrices
 # ---------------------------------------------------------------------------
 
+def _check_oracle_cap(n):
+    if n > ORACLE_GRID_CAP:
+        raise ValueError(f"oracle capped at N = {ORACLE_GRID_CAP}, grid has {n}")
+
+
 def discretized_unitary_oracle(state, obs, t):
-    """Brute-force pairing, entry by entry, on any grid.
+    """Brute-force pairing, entry by entry, on any grid, with t's shape.
 
     With quadrature weights q, the diagonal sector is sum_i q_i rho(w_i)
     O(w_i) and the kernel sector sum_ij q_i q_j rho(w_i, w_j) e^{-i(w_i -
@@ -436,21 +441,16 @@ def discretized_unitary_oracle(state, obs, t):
     conj(e_j) with e = q e^{-iwt}.  The sectors never mix (the kernel
     algebra is a direct sum), no lag is collapsed and no +-nu folded: an
     honest rephrasing of the quadrature, not a second copy of it.  O(N^2)
-    time and O(N) extra memory per t, in ``np.einsum``, not BLAS.  A
+    time and O(N) memory per t, all t in one ``np.einsum``, not BLAS.  A
     non-finite ``t`` and grids beyond ORACLE_GRID_CAP points are refused.
     """
     _same_grid(state.grid, obs.grid)
     g = state.grid
-    if g.size > ORACLE_GRID_CAP:
-        raise ValueError(
-            f"oracle capped at N = {ORACLE_GRID_CAP}, grid has {g.size}")
-    t = float(t)
-    if not np.isfinite(t):
-        raise ValueError(f"oracle: t = {t} is not finite")
-    e = g.weights * np.exp(-1j * t * g.omega)
-    kern = np.einsum("i,ij,ji,j", e, state.offdiag, obs.offdiag, e.conj())
-    return float(np.einsum("i,i,i", g.weights, state.diag, obs.diag)
-                 + kern.real)
+    _check_oracle_cap(g.size)
+    e = g.weights * np.exp(-1j * _finite_times(t)[..., None] * g.omega)
+    kern = np.einsum("...i,ij,ji,...j->...", e, state.offdiag, obs.offdiag,
+                     e.conj())
+    return np.einsum("i,i,i", g.weights, state.diag, obs.diag) + kern.real
 
 
 # ---------------------------------------------------------------------------
@@ -562,5 +562,4 @@ def gaussian_scenario():
 
 def gaussian_envelope(t, cross_width=0.5):
     """Analytic modulus of the oscillatory sector, normalized to t = 0."""
-    t = np.asarray(t, dtype=float)
-    return np.exp(-0.5 * (cross_width * t) ** 2)
+    return np.exp(-0.5 * (cross_width * _finite_times(t)) ** 2)

@@ -91,17 +91,19 @@ def envelope(times, values):
     return np.interp(times, times[nodes], v[nodes])
 
 
-def _window_fit(times, env, powers, floor_log):
-    """Fit A exp(-(t/tau)^p) to an envelope, p from ``powers`` by r squared.
-
-    The tail both fits share: an envelope that does not collapse by
-    MIN_DECAY_FACTOR is refused, and one without a decaying fit in its
-    window gives a no-fit result.
-    """
+def _fit(times, values, powers, no_signal, floor_log):
+    """Both fits: A exp(-(t/tau)^p) to the envelope of |values|, p from
+    ``powers`` by r squared; the ``no_signal`` status if it stays below
+    SIGNAL_ATOL, and no fit if it does not collapse by MIN_DECAY_FACTOR or
+    no decaying fit is found in its window."""
+    env = envelope(times, values)  # checks the series once
+    times = np.asarray(times, dtype=float)
+    amax = float(env.max())
+    if amax <= SIGNAL_ATOL:
+        return FitResult(None, None, None, None, no_signal)
     if not -math.inf < floor_log < 0:  # ln(env/max) <= 0, and not NaN
         raise ValueError(
             f"floor_log must be negative and finite, got {floor_log}")
-    amax = float(env.max())
     if env[-1] * MIN_DECAY_FACTOR > amax:
         return FitResult(None, None, None, None,
                          "no fit: channel does not decay by a factor of e")
@@ -110,13 +112,11 @@ def _window_fit(times, env, powers, floor_log):
     below = np.nonzero(env < amax * math.exp(floor_log))[0]
     stop = int(below[0]) if below.size else env.size
     stop = min(max(stop, 4), env.size)
-    t = times[:stop]
-    y = env[:stop]
+    t, y = times[:stop], env[:stop]
     keep = y > 0
     if int(keep.sum()) < 3:
         return _NOT_DECAYING
-    t = t[keep]
-    y = np.log(y[keep])
+    t, y = t[keep], np.log(y[keep])
     best = None
     for p in powers:
         design = np.column_stack([t ** p, np.ones_like(t)])
@@ -143,12 +143,7 @@ def fit_decoherence_time(times, values, floor_log=FIT_FLOOR_LOG):
     fallen to A/e.  A channel that never collapses by a factor of e
     yields a no-fit result instead of a number.
     """
-    times, values = _check_series(times, values)
-    env = envelope(times, values)
-    amax = float(env.max())
-    if amax <= SIGNAL_ATOL:
-        return FitResult(None, None, None, None, "no signal: channel is zero")
-    return _window_fit(times, env, (1, 2), floor_log)
+    return _fit(times, values, (1, 2), "no signal: channel is zero", floor_log)
 
 
 def fit_relaxation_time(times, values, floor_log=FIT_FLOOR_LOG):
@@ -158,12 +153,8 @@ def fit_relaxation_time(times, values, floor_log=FIT_FLOOR_LOG):
     never leaves equilibrium reports that relaxation is not applicable
     rather than inventing a time scale.
     """
-    times, values = _check_series(times, values)
-    dist = np.abs(np.asarray(values, dtype=float))
-    if float(dist.max()) <= SIGNAL_ATOL:
-        return FitResult(None, None, None, None,
-                         "not applicable (no dissipation)")
-    return _window_fit(times, envelope(times, dist), (1,), floor_log)
+    return _fit(times, values, (1,), "not applicable (no dissipation)",
+                floor_log)
 
 
 def detect_weak_limit(times, channels, epsilon, recurrence_window=None):

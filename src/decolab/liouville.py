@@ -57,6 +57,16 @@ BIORTHOGONALITY_TOL = 1e-10
 _TILE = 128
 
 
+def _finite_times(times):
+    """Every route's and oracle's sample times, as a float array of their
+    shape; a non-finite one, which would give NaN or a wrong limit, raises."""
+    times = np.asarray(times, dtype=float)
+    bad = times[~np.isfinite(times)]
+    if bad.size:
+        raise ValueError(f"sample times must be finite, got {bad[0]}")
+    return times
+
+
 class DimensionMismatchError(ValueError):
     """Operands live on different Hilbert/Liouville spaces."""
 

@@ -26,6 +26,8 @@ inverts its eigenvectors.  An optional finite memory window truncates
 the integral explicitly and says so, and is refused where QLQ has a
 growing mode; the windowed delay equation is solved exactly too, by the
 method of steps with a Taylor series.  No decolab module imports scipy.
+Sample times must be finite, as for every route, and 1-d: the projected
+routes return one state per sample.
 
 The module also carries a small dissipative generator (not of
 commutator form) whose coherence-decay and population-relaxation rates
@@ -44,6 +46,7 @@ from .liouville import (
     HERMITICITY_TOL,
     CoarseState,
     DimensionMismatchError,
+    _finite_times,
     hermitian_deviation,
     state_map,
     unvec,
@@ -109,8 +112,9 @@ def build_liouvillian(hamiltonian):
     return Liouvillian(hamiltonian)
 
 
-def _check_sizes(pi, liouville, rho0=None):
-    """Refuse a projector or a state from another space than L's."""
+def _check_sizes(pi, liouville, rho0=None, times=()):
+    """Refuse a projector or a state from another space than L's, or sample
+    times that are not finite and 1-d; returns the times as an array."""
     shape = liouville.superop.shape
     if np.shape(pi) != shape:
         raise DimensionMismatchError(f"projector shape {np.shape(pi)} vs L {shape}")
@@ -118,14 +122,9 @@ def _check_sizes(pi, liouville, rho0=None):
         raise DimensionMismatchError(
             "projector does not match state dimension: state shape "
             f"{np.shape(rho0)} vs H {liouville.hamiltonian.shape}")
-
-
-def _sample_times(times):
-    """``times`` as a 1-d float array; a non-finite entry, whose step would
-    spoil every later sample, or another shape is refused."""
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or not np.isfinite(times).all():
-        raise ValueError(f"times must be finite and 1-d, shape {times.shape}")
+    times = _finite_times(times)
+    if times.ndim != 1:
+        raise ValueError(f"sample times must be 1-d, shape {times.shape}")
     return times
 
 
@@ -205,8 +204,7 @@ def evolve_master_exact(rho0, pi, liouville, times):
     coarse_grain(rho(t), pi) is a consistency check, not a tautology.
     Returns a list of :class:`CoarseState`.
     """
-    _check_sizes(pi, liouville, rho0)
-    times = _sample_times(times)
+    times = _check_sizes(pi, liouville, rho0, times)
     if not times.size:
         return []
     p = state_map(np.asarray(pi, dtype=complex))
@@ -297,8 +295,7 @@ def memory_kernel(pi, liouville, taus):
     A kernel that overflows (an oblique projector whose QLQ has growing
     modes) is refused with ``FloatingPointError`` naming the growth rate.
     """
-    _check_sizes(pi, liouville)
-    taus = _sample_times(taus)
+    taus = _check_sizes(pi, liouville, times=taus)
     pq = _pq_system(pi, liouville)
     with np.errstate(over="ignore", invalid="ignore"):
         phase = np.exp(-1j * pq.lam * taus[:, None])
@@ -339,8 +336,7 @@ def evolve_nakajima_zwanzig(rho0, pi, liouville, times, kernel_window=None):
         # written as "not > 0" so that a NaN window is refused too
         raise ValueError(
             f"kernel_window must be positive or None, got {kernel_window}")
-    _check_sizes(pi, liouville, rho0)
-    times = _sample_times(times)
+    times = _check_sizes(pi, liouville, rho0, times)
     if not times.size:
         return []
     pq = _pq_system(pi, liouville)
@@ -461,6 +457,6 @@ def evolve_linear_generator(generator, rho0, times):
             f"state shape {rho0.shape} vs generator shape {g.shape}: "
             "need a d x d state and a d^2 x d^2 generator"
         )
-    times = np.asarray(times, dtype=float)
+    times = _finite_times(times)
     return _propagate(g, vec(rho0), times).reshape(
         times.shape + (d, d)).swapaxes(-1, -2)

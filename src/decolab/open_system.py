@@ -27,6 +27,7 @@ from .continuum import phase_sum
 from .liouville import (
     BiorthogonalBasis,
     DimensionMismatchError,
+    _finite_times,
     build_projector,
     unvec,
     validate_density,
@@ -156,7 +157,7 @@ def evolve_unitary(rho0, hamiltonian, times):
         )
     evals, vecs = np.linalg.eigh(h)
     rho_eig = vecs.conj().T @ rho0 @ vecs
-    phase = np.exp(-1j * evals * np.asarray(times, dtype=float)[..., None])
+    phase = np.exp(-1j * evals * _finite_times(times)[..., None])
     # e^{-iHt} rho e^{iHt} in the eigenbasis is an outer phase mask
     mask = phase[..., :, None] * phase.conj()[..., None, :]
     return vecs @ (mask * rho_eig) @ vecs.conj().T
@@ -250,7 +251,6 @@ def spin_bath_reduced_dynamics(params, times):
     conj(rho_01).  Returns np.shape(times) + (2, 2).
     """
     _check_spin_cap(params.n_spins)
-    times = np.asarray(times, dtype=float)
     a, b = params.amplitude_0, params.amplitude_1
     half = params.n_spins // 2
     coh = a * np.conj(b)
@@ -258,7 +258,7 @@ def spin_bath_reduced_dynamics(params, times):
         coh = coh * phase_sum(_bath_energies(params.couplings[part]),
                               _bath_amplitudes(params.angles[part]) ** 2,
                               times)
-    out = np.empty(times.shape + (2, 2), dtype=complex)
+    out = np.empty(np.shape(times) + (2, 2), dtype=complex)
     out[..., 0, 0], out[..., 1, 1] = abs(a) ** 2, abs(b) ** 2
     out[..., 0, 1], out[..., 1, 0] = coh, np.conj(coh)
     return out
@@ -270,7 +270,7 @@ def spin_bath_coherence(params, times):
     rho_S,01(t) = a conj(b) prod_k [cos(g_k t) - i cos(theta_k) sin(g_k t)],
     the product of single-spin bath overlaps <chi_k|e^{-i g_k sigma_z t}|chi_k>.
     """
-    times = np.asarray(times, dtype=float)
+    times = _finite_times(times)
     coh = np.full(times.shape,
                   params.amplitude_0 * np.conj(params.amplitude_1),
                   dtype=complex)

@@ -18,8 +18,9 @@ import numpy as np
 
 from . import fits
 # gaussian_scenario is unused here; perfbench's tracer binds it at this name
-from .continuum import (EnergyGrid, discretized_unitary_oracle,  # noqa: F401
-                        expectation_sid, family_kernel, gaussian_scenario,
+from .continuum import (EnergyGrid, _check_oracle_cap,  # noqa: F401
+                        discretized_unitary_oracle, expectation_sid,
+                        family_kernel, gaussian_scenario,
                         hamiltonian_observable, load_table_kernel, sid_limit,
                         sid_scenario)
 from .master_eq import dissipative_toy, evolve_linear_generator
@@ -283,9 +284,13 @@ def _spin_bath(config):
                           amplitude_1=math.sqrt(1.0 - amp0 ** 2))
 
 
-def _run_eid(config):
+def _time_axis(config):
+    """The ``samples`` times from 0 to t_max that a run and its oracle share."""
+    return np.linspace(0.0, config.t_max, config.samples)
+
+
+def _run_eid(config, times):
     params = _spin_bath(config)
-    times = np.linspace(0.0, config.t_max, config.samples)
     rhos = spin_bath_reduced_dynamics(params, times)
 
     channels = {}
@@ -322,9 +327,8 @@ def _sid_pair(config):
     return sid_scenario(grid, kernel, p["center"], p["width"], p["amplitude"])
 
 
-def _run_sid(config):
+def _run_sid(config, times):
     state, obs = _sid_pair(config)
-    times = np.linspace(0.0, config.t_max, config.samples)
     expect = expectation_sid(state, obs, times)
     # H has no regular kernel, so its pairing is sid_limit at every time
     e_h = sid_limit(state, hamiltonian_observable(state.grid))
@@ -343,9 +347,8 @@ def _run_sid(config):
     return series, summary
 
 
-def _run_toy(config):
+def _run_toy(config, times):
     toy = dissipative_toy(**config.params)
-    times = np.linspace(0.0, config.t_max, config.samples)
     states = evolve_linear_generator(toy.generator, toy.rho0, times)
     p_star = np.asarray(toy.equilibrium, dtype=float)
 
@@ -377,16 +380,16 @@ _RUNNERS = {
 def oracle_series(config):
     """``config``'s reference record at its run's times, under its run's
     channel names: the closed-form coherence (eid-spin-bath), the toy's two
-    exponentials, or :func:`discretized_unitary_oracle` at every sample
-    (sid-kernel: ``ValueError`` beyond ORACLE_GRID_CAP grid points)."""
-    times = np.linspace(0.0, config.t_max, config.samples)
+    exponentials, or :func:`discretized_unitary_oracle` over all of them
+    (sid-kernel; a grid over ORACLE_GRID_CAP raises before it is built)."""
+    times = _time_axis(config)
     if config.kind == "eid-spin-bath":
         coherence = spin_bath_coherence(_spin_bath(config), times)
         channels = {"offdiag_modulus": np.abs(coherence)}
     elif config.kind == "sid-kernel":
-        state, obs = _sid_pair(config)
-        channels = {"expectation": [discretized_unitary_oracle(state, obs, t)
-                                    for t in times]}
+        _check_oracle_cap(config.params["n"])
+        channels = {"expectation": discretized_unitary_oracle(
+            *_sid_pair(config), times)}
     else:
         toy = dissipative_toy(**config.params)
         rho0 = toy.rho0
@@ -407,7 +410,7 @@ def run_scenario(config, out_dir):
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    series, summary = _RUNNERS[config.kind](config)
+    series, summary = _RUNNERS[config.kind](config, _time_axis(config))
     csv_path = out / f"{config.name}.csv"
     json_path = out / f"{config.name}.json"
     series.to_csv(csv_path)

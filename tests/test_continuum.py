@@ -33,7 +33,9 @@ from decolab.continuum import (
     sid_scenario,
 )
 from decolab.liouville import DimensionMismatchError
-from decolab.open_system import (SpinBathParams, spin_bath_coherence,
+from decolab.master_eq import dissipative_toy, evolve_linear_generator
+from decolab.open_system import (SpinBathParams, evolve_unitary,
+                                 spin_bath_coherence,
                                  spin_bath_reduced_dynamics)
 
 
@@ -504,7 +506,9 @@ class TestPhaseSum:
                "t": np.array([0.0, 2.0])}
         ops[operand] = np.where(np.arange(ops[operand].size) == 1, bad,
                                 ops[operand])
-        with pytest.raises(ValueError, match=f"{operand} has non-finite"):
+        match = "sample times must be finite" if operand == "t" \
+            else f"{operand} has non-finite"
+        with pytest.raises(ValueError, match=match):
             phase_sum(**ops)
 
     @pytest.mark.parametrize("nu, weights", [
@@ -516,22 +520,36 @@ class TestPhaseSum:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
                              ids=["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("route", ["expectation_sid",
-                                       "offdiag_contribution",
-                                       "spin_bath_reduced_dynamics"])
+    @pytest.mark.parametrize("route", [
+        "expectation_sid", "offdiag_contribution",
+        "spin_bath_reduced_dynamics", "spin_bath_coherence", "evolve_unitary",
+        "evolve_linear_generator", "gaussian_envelope",
+        "discretized_unitary_oracle"])
     def test_routes_refuse_a_non_finite_time(self, gaussian, route, bad):
-        # unrefused, NaN came back silently and an infinite time gave NaN
-        # with a RuntimeWarning
+        # unrefused, NaN came back silently, an infinite time gave NaN with
+        # a RuntimeWarning, or the toy's populations read (0, 0, 0) at
+        # t = inf against p* = (0.5, 0.3, 0.2)
+        bath = SpinBathParams((0.8, 1.3, 0.5), (0.4, 1.1, 2.0))
+        toy = dissipative_toy()
         calls = {
             "expectation_sid": lambda t: expectation_sid(*gaussian, t),
             "offdiag_contribution":
                 lambda t: offdiag_contribution(*gaussian, t),
-            "spin_bath_reduced_dynamics": lambda t: spin_bath_reduced_dynamics(
-                SpinBathParams((0.8, 1.3, 0.5), (0.4, 1.1, 2.0)), [0.0, t]),
+            "spin_bath_reduced_dynamics":
+                lambda t: spin_bath_reduced_dynamics(bath, [0.0, t]),
+            "spin_bath_coherence": lambda t: spin_bath_coherence(bath, [0.0, t]),
+            "evolve_unitary": lambda t: evolve_unitary(
+                np.diag([0.5, 0.5]), np.array([[1.0, 0.3], [0.3, -1.0]]),
+                [0.0, t]),
+            "evolve_linear_generator": lambda t: evolve_linear_generator(
+                toy.generator, toy.rho0, [0.0, t]),
+            "gaussian_envelope": gaussian_envelope,
+            "discretized_unitary_oracle":
+                lambda t: discretized_unitary_oracle(*gaussian, [0.0, t]),
         }
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="t has non-finite"):
+            with pytest.raises(ValueError, match="sample times must be finite"):
                 calls[route](bad)
             calls[route](1.0)
 
@@ -867,8 +885,19 @@ class TestDiscretizedOracle:
         state, obs = gaussian
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=r"\bt = .* is not finite"):
+            with pytest.raises(ValueError, match="sample times must be finite"):
                 discretized_unitary_oracle(state, obs, t)
+
+    @pytest.mark.parametrize("shape", [(), (7,), (2, 3)],
+                             ids=["scalar", "T", "2x3"])
+    def test_keeps_the_shape_of_t(self, gaussian, shape):
+        # one broadcast einsum over every t gives each t's bytes alone
+        ts = np.linspace(-1.5, 6.0, int(np.prod(shape))).reshape(shape)
+        got = discretized_unitary_oracle(*gaussian, ts)
+        assert np.shape(got) == shape
+        want = [discretized_unitary_oracle(*gaussian, float(t))
+                for t in ts.ravel()]
+        assert_array_equal(np.ravel(got), want)
 
     def test_matches_the_matrix_product_form_on_a_non_uniform_grid(self):
         rng = np.random.default_rng(31)

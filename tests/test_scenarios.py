@@ -496,3 +496,19 @@ class TestOracleSeries:
         assert_array_equal(oracle.times, run.times)
         for name, values in oracle.channels.items():
             assert np.max(np.abs(values - run.channel(name))) <= bound
+
+    @pytest.mark.parametrize("family", ["lorentzian", "table"])
+    def test_over_cap_grid_refused_before_the_pair_is_built(
+            self, tmp_path, monkeypatch, family):
+        # building an n = 2000 pair reaches 122 MB ru_maxrss and a table
+        # config parses its n^2 rows, so the cap is checked before either
+        built = []
+        monkeypatch.setattr(decolab.scenarios, "_sid_pair", built.append)
+        table = f"kernel_csv = {tmp_path / 'absent.csv'}\n" \
+            if family == "table" else ""
+        config = parse_config(write_config(
+            tmp_path, SID_CONFIG.replace("n = 200", "n = 2000")
+            + f"family = {family}\n" + table))
+        with pytest.raises(ValueError, match="oracle capped at N = 400"):
+            oracle_series(config)
+        assert built == []
