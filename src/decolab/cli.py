@@ -14,7 +14,8 @@ import sys
 from pathlib import Path
 
 from . import scenarios
-from .fits import fit_decoherence_time, fit_relaxation_time, ordering_report
+from .fits import (_summary_times, fit_decoherence_time, fit_relaxation_time,
+                   ordering_report)
 from .timeseries import TimeSeries
 
 
@@ -135,6 +136,7 @@ def _cmd_compare(args):
                 raise ValueError(f"{path}: not JSON ({exc})") from exc
         if not isinstance(summary, dict) or {"t_D", "t_R"} - summary.keys():
             raise ValueError(f"{path}: not a summary with t_D and t_R")
+        _summary_times(summary, path)
         summaries.append(summary)
     report = ordering_report(summaries)
     print(report.text())

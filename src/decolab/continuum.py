@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .liouville import (_TILE, HERMITICITY_TOL, DimensionMismatchError,
-                        _finite_times, require_hermitian)
+                        _axis, _finite, _frozen, require_hermitian)
 
 __all__ = [
     "EnergyGrid",
@@ -72,12 +72,6 @@ class UntaggedComponentError(ValueError):
 # grid and kernel types
 # ---------------------------------------------------------------------------
 
-def _frozen(a, dtype=float):
-    a = np.array(a, dtype=dtype)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class EnergyGrid:
     """Strictly increasing energies >= 0 with trapezoid quadrature weights."""
@@ -86,13 +80,7 @@ class EnergyGrid:
     weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        w = _frozen(self.omega)
-        if w.ndim != 1 or w.size < 2:
-            raise ValueError("grid needs at least 2 energies")
-        # "not all > 0" so that NaN gaps are refused too
-        if not (np.all(np.isfinite(w)) and np.all(np.diff(w) > 0)):
-            raise ValueError(
-                "grid energies must be finite and strictly increasing")
+        w = _axis(_frozen(self.omega), "grid energies", 2)
         if w[0] < 0:
             raise ValueError("grid energies must be >= 0")
         q = np.empty_like(w)
@@ -150,8 +138,7 @@ def _validate_kernels(obj, offdiag_field, what):
         raise DimensionMismatchError(
             f"diag shape {d.shape} vs grid size {grid.size}"
         )
-    if not np.all(np.isfinite(d)):
-        raise ValueError("diagonal part has non-finite entries")
+    _finite(d, "diagonal part")
     off = getattr(obj, offdiag_field)
     off = (np.broadcast_to(0j, (grid.size, grid.size)) if off is None
            else _check_kernel(grid, off, what))
@@ -274,15 +261,12 @@ def phase_sum(nu, weights, t):
 
     U counts the distinct |nu_k|: with E_u, O_u the sums of w_k and
     sgn(nu_k) w_k over |nu_k| = u, it is E_u cos(u t) - i O_u sin(u t).
-    Non-finite operands (t by the check all routes share), or nu and
-    weights not 1-d of one length, are refused.  Real arithmetic in
-    ``np.einsum``, not BLAS, so the bytes do not depend on BLAS threads.
+    Non-finite operands, or nu and weights not 1-d of one length, are
+    refused.  Real arithmetic in ``np.einsum``, not BLAS, so the bytes do
+    not depend on BLAS threads.
     """
-    nu, t = np.asarray(nu, dtype=float), _finite_times(t)
-    w = np.asarray(weights, dtype=complex)
-    for name, x in (("nu", nu), ("weights", w)):
-        if not np.isfinite(x).all():
-            raise ValueError(f"phase_sum: {name} has non-finite entries")
+    nu, t = _finite(nu, "phase_sum: nu"), _finite(t)
+    w = _finite(weights, "phase_sum: weights", complex)
     if nu.ndim != 1 or w.shape != nu.shape:
         raise ValueError(f"phase_sum: nu {nu.shape} and weights {w.shape} "
                          "must be 1-d of one length")
@@ -374,8 +358,8 @@ def build_vanhove_from_measurements(z, delta_omega, kernel_fn=None):
     obs = sid_projector(z)  # also validates tags
     g = obs.grid
     dw = float(delta_omega)
-    if dw <= 0:
-        raise ValueError("instrument resolution must be positive")
+    if not dw > 0:  # "not > 0" so that a NaN resolution is refused too
+        raise ValueError(f"instrument resolution must be positive, got {dw}")
     if dw > g.span:
         raise ValueError(
             f"resolution {dw} exceeds the grid span {g.span}; nothing to "
@@ -447,7 +431,7 @@ def discretized_unitary_oracle(state, obs, t):
     _same_grid(state.grid, obs.grid)
     g = state.grid
     _check_oracle_cap(g.size)
-    e = g.weights * np.exp(-1j * _finite_times(t)[..., None] * g.omega)
+    e = g.weights * np.exp(-1j * _finite(t)[..., None] * g.omega)
     kern = np.einsum("...i,ij,ji,...j->...", e, state.offdiag, obs.offdiag,
                      e.conj())
     return np.einsum("i,i,i", g.weights, state.diag, obs.diag) + kern.real
@@ -562,4 +546,4 @@ def gaussian_scenario():
 
 def gaussian_envelope(t, cross_width=0.5):
     """Analytic modulus of the oscillatory sector, normalized to t = 0."""
-    return np.exp(-0.5 * (cross_width * _finite_times(t)) ** 2)
+    return np.exp(-0.5 * (cross_width * _finite(t)) ** 2)

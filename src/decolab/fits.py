@@ -10,6 +10,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .liouville import _axis, _finite
+
 # envelope samples enter the fit while ln(env / max) stays above this
 FIT_FLOOR_LOG = -2.0
 # a channel must collapse at least this much before a decay fit is honest
@@ -62,17 +64,12 @@ class WeakLimitResult:
         return self.t_star is not None
 
 
-def _check_series(times, values):
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values)
-    if times.ndim != 1 or values.shape != times.shape:
-        raise ValueError("times and values must be 1-d arrays of equal length")
-    if times.size < 4:
-        raise ValueError("need at least 4 samples to fit a decay")
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("times must be strictly increasing")
-    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
-        raise ValueError("series contains non-finite entries")
+def _check_series(times, values, what="values", dtype=None):
+    """4 or more ``times`` as an axis, and finite ``values`` of their shape."""
+    times = _axis(times, "times", 4)
+    values = _finite(values, what, dtype)
+    if values.shape != times.shape:
+        raise ValueError(f"{what} must be 1-d, one per time")
     return times, values
 
 
@@ -84,7 +81,11 @@ def envelope(times, values):
     A monotone collapse is reproduced exactly, an oscillatory decay is
     bridged across its arches.
     """
-    times, values = _check_series(times, values)
+    return _envelope(*_check_series(times, values))
+
+
+def _envelope(times, values):
+    """:func:`envelope` of a series that has passed :func:`_check_series`."""
     v = np.abs(values).astype(float)
     suffix = np.maximum.accumulate(v[::-1])[::-1]
     nodes = np.nonzero(v >= suffix)[0]
@@ -96,8 +97,8 @@ def _fit(times, values, powers, no_signal, floor_log):
     ``powers`` by r squared; the ``no_signal`` status if it stays below
     SIGNAL_ATOL, and no fit if it does not collapse by MIN_DECAY_FACTOR or
     no decaying fit is found in its window."""
-    env = envelope(times, values)  # checks the series once
-    times = np.asarray(times, dtype=float)
+    times, values = _check_series(times, values)
+    env = _envelope(times, values)
     amax = float(env.max())
     if amax <= SIGNAL_ATOL:
         return FitResult(None, None, None, None, no_signal)
@@ -161,28 +162,26 @@ def detect_weak_limit(times, channels, epsilon, recurrence_window=None):
     """Earliest time after which every channel stays near its long-time mean.
 
     ``channels`` maps each name to its values.  Only samples inside the
-    recurrence window count: the long-time mean is taken over the final
-    stretch of the in-window record, and t_star is the earliest sample
-    such that every channel remains within epsilon (0 < epsilon < inf)
-    of its mean at all later in-window samples.  Samples beyond the
-    window are ignored and flagged, and failure to settle is reported
-    as non-convergence rather than a guessed time.
+    recurrence window (> 0; None or inf for none) count: the long-time
+    mean is taken over the final stretch of the in-window record, and
+    t_star is the earliest sample such that every channel remains within
+    epsilon (0 < epsilon < inf) of its mean at all later in-window
+    samples.  Later samples are ignored and flagged, and failure to
+    settle is reported as non-convergence rather than a guessed time.
     """
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if not isinstance(channels, dict) or not channels:
         raise ValueError("channels must be a non-empty dict name -> values")
-    times, _ = _check_series(times, next(iter(channels.values())))
-
+    times = _axis(times, "times", 4)
+    window = math.inf if recurrence_window is None else recurrence_window
+    if not window > 0:  # "not > 0" so that a NaN window is refused too
+        raise ValueError(f"recurrence window must be positive, got {window}")
     flags = []
-    mask = np.ones(times.size, dtype=bool)
-    if recurrence_window is not None and math.isfinite(recurrence_window):
-        if recurrence_window <= 0:
-            raise ValueError("recurrence window must be positive")
-        mask = times <= recurrence_window
-        if times[-1] > recurrence_window:
-            flags.append("series extends beyond the recurrence window; "
-                         "later samples ignored")
+    mask = times <= window
+    if times[-1] > window:
+        flags.append("series extends beyond the recurrence window; "
+                     "later samples ignored")
     if int(mask.sum()) < 4:
         raise ValueError("recurrence window leaves fewer than 4 samples")
 
@@ -191,7 +190,7 @@ def detect_weak_limit(times, channels, epsilon, recurrence_window=None):
     equilibrium = {}
     deviation = np.zeros(t_in.size)
     for name, vals in channels.items():
-        vals = np.asarray(_check_series(times, vals)[1], dtype=float)[mask]
+        vals = _check_series(times, vals, f"channel {name!r}", float)[1][mask]
         mean = float(np.mean(vals[-tail_n:]))
         equilibrium[name] = mean
         deviation = np.maximum(deviation, np.abs(vals - mean))
@@ -242,21 +241,29 @@ class OrderingReport:
         return "\n".join(lines)
 
 
-def _as_time(value):
-    if isinstance(value, bool) or value is None:
-        return None
-    if isinstance(value, (int, float)) and math.isfinite(value):
-        return float(value)
-    return None
+def _summary_times(summary, where):
+    """(t_D, t_R) of a summary, None where missing or not a number; one
+    that is not positive and finite raises, naming ``where`` and the key."""
+    times = []
+    for key in ("t_D", "t_R"):
+        value = summary.get(key)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            times.append(None)
+        elif 0 < value < math.inf:
+            times.append(float(value))
+        else:
+            raise ValueError(f"{where}: key '{key}' = {value!r} must be "
+                             "positive and finite")
+    return times
 
 
 def ordering_report(summaries):
     """Tabulate t_D against t_R across scenario summaries.
 
-    Each summary is a mapping with at least t_D and t_R entries (either
-    may be None or a non-numeric placeholder when the scale does not
-    exist for that scenario).  Rows with both times check t_D < t_R; a
-    list in which no row carries any characteristic time is rejected.
+    Each summary is a mapping with at least t_D and t_R entries, each a
+    positive finite number, or None or a non-numeric placeholder when the
+    scale does not exist for that scenario.  Rows with both times check
+    t_D < t_R; a list in which no row carries any time is rejected.
     """
     summaries = list(summaries)
     if not summaries:
@@ -267,8 +274,7 @@ def ordering_report(summaries):
     for s in summaries:
         name = str(s.get("scenario") or s.get("name") or "?")
         kind = str(s.get("kind", "?"))
-        td = _as_time(s.get("t_D"))
-        tr = _as_time(s.get("t_R"))
+        td, tr = _summary_times(s, f"scenario {name!r}")
         if td is not None or tr is not None:
             any_time = True
         if td is not None and tr is not None:

@@ -57,14 +57,32 @@ BIORTHOGONALITY_TOL = 1e-10
 _TILE = 128
 
 
-def _finite_times(times):
-    """Every route's and oracle's sample times, as a float array of their
-    shape; a non-finite one, which would give NaN or a wrong limit, raises."""
-    times = np.asarray(times, dtype=float)
-    bad = times[~np.isfinite(times)]
+def _finite(x, what="sample times", dtype=float):
+    """``x`` as a ``dtype`` array, refused by name if not finite."""
+    x = np.asarray(x, dtype=dtype)
+    bad = x[~np.isfinite(x)]
     if bad.size:
-        raise ValueError(f"sample times must be finite, got {bad[0]}")
-    return times
+        raise ValueError(f"{what} must be finite, got {bad[0]}")
+    return x
+
+
+def _axis(x, what, at_least):
+    """``x`` as a float array: 1-d, at least ``at_least`` entries, finite and
+    strictly increasing ("not all > 0" refuses NaN gaps too)."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size < at_least:
+        raise ValueError(f"{what} must be 1-d with at least {at_least} "
+                         f"entries, got shape {x.shape}")
+    if not (np.isfinite(x).all() and (np.diff(x) > 0).all()):
+        raise ValueError(f"{what} must be finite and strictly increasing")
+    return x
+
+
+def _frozen(a, dtype=float):
+    """A read-only ``dtype`` copy of ``a``."""
+    a = np.array(a, dtype=dtype)
+    a.setflags(write=False)
+    return a
 
 
 class DimensionMismatchError(ValueError):
@@ -114,10 +132,9 @@ class CoarseState:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix):
-        m = np.array(matrix, dtype=complex)
+        m = _frozen(matrix, complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"expected a square matrix, got {m.shape}")
-        m.setflags(write=False)
         self.matrix = m
 
     def pair(self, obs):

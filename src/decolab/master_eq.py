@@ -46,7 +46,8 @@ from .liouville import (
     HERMITICITY_TOL,
     CoarseState,
     DimensionMismatchError,
-    _finite_times,
+    _axis,
+    _finite,
     hermitian_deviation,
     state_map,
     unvec,
@@ -122,7 +123,7 @@ def _check_sizes(pi, liouville, rho0=None, times=()):
         raise DimensionMismatchError(
             "projector does not match state dimension: state shape "
             f"{np.shape(rho0)} vs H {liouville.hamiltonian.shape}")
-    times = _finite_times(times)
+    times = _finite(times)
     if times.ndim != 1:
         raise ValueError(f"sample times must be 1-d, shape {times.shape}")
     return times
@@ -361,8 +362,7 @@ def evolve_nakajima_zwanzig(rho0, pi, liouville, times, kernel_window=None):
         f"memory window {kernel_window} is shorter than the horizon "
         f"{horizon}; dropped-tail bound ~ {drop:.3e} * sup|y|",
         RuntimeWarning, stacklevel=2)
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("sample times must be strictly increasing")
+    _axis(times, "sample times", 1)
     # column j is (a, z, r)(t0 + j w + s), r = D^j e^{-iQLQ s} Q|rho_0)
     # the source, driven by +i from D (z_{j-1} - r_{j-1}), D = e^{-iQLQ w}
     feed = 1j * pq.from_modes * np.exp(-1j * pq.lam * kernel_window)
@@ -457,6 +457,6 @@ def evolve_linear_generator(generator, rho0, times):
             f"state shape {rho0.shape} vs generator shape {g.shape}: "
             "need a d x d state and a d^2 x d^2 generator"
         )
-    times = _finite_times(times)
+    times = _finite(times)
     return _propagate(g, vec(rho0), times).reshape(
         times.shape + (d, d)).swapaxes(-1, -2)

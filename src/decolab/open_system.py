@@ -27,7 +27,7 @@ from .continuum import phase_sum
 from .liouville import (
     BiorthogonalBasis,
     DimensionMismatchError,
-    _finite_times,
+    _finite,
     build_projector,
     unvec,
     validate_density,
@@ -86,8 +86,7 @@ class SpinBathParams:
             raise ValueError(
                 f"{len(g)} couplings vs {len(th)} angles (need equal, nonzero)"
             )
-        if not np.isfinite(g + th).all():
-            raise ValueError(f"couplings {g} and angles {th} must be finite")
+        _finite(g + th, "couplings and angles")
         norm = abs(self.amplitude_0) ** 2 + abs(self.amplitude_1) ** 2
         # written as "not within" so that a NaN amplitude is refused too
         if not abs(norm - 1.0) <= 1e-12:
@@ -157,7 +156,7 @@ def evolve_unitary(rho0, hamiltonian, times):
         )
     evals, vecs = np.linalg.eigh(h)
     rho_eig = vecs.conj().T @ rho0 @ vecs
-    phase = np.exp(-1j * evals * _finite_times(times)[..., None])
+    phase = np.exp(-1j * evals * _finite(times)[..., None])
     # e^{-iHt} rho e^{iHt} in the eigenbasis is an outer phase mask
     mask = phase[..., :, None] * phase.conj()[..., None, :]
     return vecs @ (mask * rho_eig) @ vecs.conj().T
@@ -270,7 +269,7 @@ def spin_bath_coherence(params, times):
     rho_S,01(t) = a conj(b) prod_k [cos(g_k t) - i cos(theta_k) sin(g_k t)],
     the product of single-spin bath overlaps <chi_k|e^{-i g_k sigma_z t}|chi_k>.
     """
-    times = _finite_times(times)
+    times = _finite(times)
     coh = np.full(times.shape,
                   params.amplitude_0 * np.conj(params.amplitude_1),
                   dtype=complex)
@@ -289,9 +288,7 @@ def spin_bath_recurrence_window(couplings):
     the spectrum collapses to a point (all couplings zero).  Non-finite
     couplings are refused with ``ValueError``, as by :class:`SpinBathParams`.
     """
-    g = np.asarray(couplings, dtype=float)
-    if not np.isfinite(g).all():
-        raise ValueError(f"couplings {g.tolist()} must be finite")
+    g = _finite(couplings, "couplings")
     # the least positive gap; np.unique would import numpy.ma (1.3 MB RSS)
     gaps = np.diff(np.sort(np.round(_bath_energies(g), 12)))
     gaps = gaps[gaps > 0]

@@ -201,7 +201,9 @@ def parse_config(path, seed=None, tol_overrides=None):
     name = _get(cp, "scenario", "name", str, kind,
                 check=lambda s: bool(_NAME_RE.match(s)),
                 why="letters, digits, dot, dash, underscore only")
-    cfg_seed = _get(cp, "scenario", "seed", int, 0)
+    if seed is not None:
+        cp.read_dict({"scenario": {"seed": str(seed)}})
+    seed = _get(cp, "scenario", "seed", int, 0, lambda s: s >= 0, "need >= 0")
     t_max = _get(cp, "scenario", "t_max", float, _REQUIRED, *_POSITIVE)
     samples = _get(cp, "scenario", "samples", int,
                    check=lambda n: n >= MIN_SAMPLES,
@@ -222,9 +224,8 @@ def parse_config(path, seed=None, tol_overrides=None):
             raise ConfigError("[master-eq-toy] keys 'gamma_decohere' and "
                               f"'gamma_relax': {exc}") from None
     tolerances = parse_tolerances(tol_overrides, cp)
-    return ScenarioConfig(kind=kind, name=name,
-                          seed=seed if seed is not None else cfg_seed,
-                          t_max=t_max, samples=samples, params=params,
+    return ScenarioConfig(kind=kind, name=name, seed=seed, t_max=t_max,
+                          samples=samples, params=params,
                           tolerances=tolerances)
 
 

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .liouville import _axis, _finite, _frozen
+
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 # rows per block of write_csv: its memory is O(block), not O(record)
 _BLOCK_ROWS = 256
@@ -27,30 +29,20 @@ class TimeSeries:
     channels: dict
 
     def __post_init__(self):
-        t = np.array(self.times, dtype=float)
-        if t.ndim != 1 or t.size < 2:
-            raise ValueError("need a 1-d time axis with at least 2 samples")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("sample times must be strictly increasing")
-        if not np.all(np.isfinite(t)):
-            raise ValueError("sample times contain non-finite entries")
+        t = _axis(_frozen(self.times), "sample times", 2)
         if not self.channels:
             raise ValueError("need at least one channel")
         clean = {}
         for name, vals in self.channels.items():
             if not _NAME_RE.match(name):
                 raise ValueError(f"channel name {name!r} is not an identifier")
-            v = np.array(vals, dtype=float)
+            v = _frozen(vals)
             if v.shape != t.shape:
                 raise ValueError(
                     f"channel {name!r} has {v.size} samples, time axis has "
                     f"{t.size}"
                 )
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"channel {name!r} contains non-finite entries")
-            v.setflags(write=False)
-            clean[name] = v
-        t.setflags(write=False)
+            clean[name] = _finite(v, f"channel {name!r}")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "channels", clean)
 

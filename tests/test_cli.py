@@ -100,6 +100,16 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "coupling_max" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("config", [TOY_CONFIG, SID_CONFIG, EID_CONFIG],
+                             ids=["toy", "sid", "eid"])
+    def test_negative_seed_is_refused_by_name(self, tmp_path, capsys, config):
+        cfg = write(tmp_path, config, "c.ini")
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--seed", "-1"])
+        assert code == 2
+        assert "[scenario] key 'seed'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_tolerance_is_reported(self, tmp_path, capsys):
         cfg = write(tmp_path, TOY_CONFIG, "toy.ini")
         code = main(["run", "--config", cfg, "--out", str(tmp_path / "out"),
@@ -324,6 +334,23 @@ class TestCompareCommand:
         assert code == 2 and not captured.out
         assert captured.err == (f"error: {reports / 'b.json'}: "
                                 "not a summary with t_D and t_R\n")
+        assert not (reports / "comparison.json").exists()
+
+    @pytest.mark.parametrize("t_d", ["0.0", "-2.0", "NaN", "Infinity"])
+    def test_time_not_positive_and_finite_is_refused_by_name(self, tmp_path,
+                                                            capsys, t_d):
+        # t_D = 0 was a ZeroDivisionError traceback with exit 1, the code
+        # of a violated ordering; t_D = -2 was tabulated as "ok"
+        reports = tmp_path / "reports"
+        reports.mkdir()
+        (reports / "z.json").write_text(
+            '{"scenario": "z", "kind": "k", "t_D": %s, "t_R": 1.0}' % t_d)
+        code = main(["compare", "--reports", str(reports)])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert captured.err.startswith(
+            f"error: {reports / 'z.json'}: key 't_D' = ")
+        assert captured.err.endswith("must be positive and finite\n")
         assert not (reports / "comparison.json").exists()
 
     def test_json_that_does_not_parse_is_refused_by_name(self, tmp_path,

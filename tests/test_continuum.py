@@ -507,7 +507,7 @@ class TestPhaseSum:
         ops[operand] = np.where(np.arange(ops[operand].size) == 1, bad,
                                 ops[operand])
         match = "sample times must be finite" if operand == "t" \
-            else f"{operand} has non-finite"
+            else f"phase_sum: {operand} must be finite"
         with pytest.raises(ValueError, match=match):
             phase_sum(**ops)
 
@@ -812,8 +812,11 @@ class TestMeasurementRebuild:
     def test_rejects_nonpositive_resolution(self, gaussian):
         state, obs = gaussian
         gen = GeneralKernelObservable(state.grid, obs.diag, obs.offdiag)
-        with pytest.raises(ValueError, match="positive"):
-            build_vanhove_from_measurements(gen, 0.0)
+        # "not > 0": NaN was refused only by accident, in a float -> int cast
+        for dw in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError,
+                               match="instrument resolution must be positive"):
+                build_vanhove_from_measurements(gen, dw)
 
 
 class TestDiscretizedOracle:

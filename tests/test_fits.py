@@ -203,6 +203,18 @@ class TestWeakLimit:
             with pytest.raises(ValueError, match="epsilon"):
                 detect_weak_limit(t, {"c": np.exp(-t)}, epsilon=epsilon)
 
+    def test_rejects_a_window_that_is_not_positive(self):
+        # a NaN window was dropped silently, as if there were none
+        t = np.linspace(0, 10, 200)
+        channels = {"c": 1.0 / (1.0 + t)}
+        for window in (0.0, -1.0, math.nan, -math.inf):
+            with pytest.raises(ValueError,
+                               match="recurrence window must be positive"):
+                detect_weak_limit(t, channels, 0.2, window)
+        # an infinite window, as None, keeps every sample
+        assert detect_weak_limit(t, channels, 0.2, math.inf) \
+            == detect_weak_limit(t, channels, 0.2)
+
     @pytest.mark.parametrize("channels", [{}, np.exp(-np.linspace(0, 5, 20))])
     def test_rejects_channels_not_a_named_dict(self, channels):
         t = np.linspace(0, 5, 20)
@@ -248,6 +260,17 @@ class TestOrderingReport:
         with pytest.raises(ValueError, match="characteristic time"):
             ordering_report([{"scenario": "x", "kind": "y",
                               "t_D": None, "t_R": "n/a"}])
+
+    @pytest.mark.parametrize("value", [0.0, -2.0, math.nan, math.inf,
+                                       -math.inf])
+    @pytest.mark.parametrize("key", ["t_D", "t_R"])
+    def test_time_not_positive_and_finite_refused(self, key, value):
+        # t_D = 0 ended in ZeroDivisionError, t_D = -2 tabulated as "ok"
+        summary = {"scenario": "bad", "kind": "master-eq-toy",
+                   "t_D": 1.0, "t_R": 5.0, key: value}
+        with pytest.raises(ValueError, match=f"scenario 'bad': key '{key}' "
+                           f"= {value!r} must be positive and finite"):
+            ordering_report(self.summaries() + [summary])
 
     def test_dict_form_is_json_ready(self):
         import json

@@ -10,6 +10,8 @@ from numpy.testing import assert_allclose
 from decolab.continuum import (EnergyGrid, GeneralKernelObservable,
                                VanHoveObservable, VanHoveState,
                                load_table_kernel)
+from decolab.fits import (detect_weak_limit, envelope, fit_decoherence_time,
+                          fit_relaxation_time)
 from decolab.liouville import (
     BiorthogonalBasis,
     BiorthogonalityError,
@@ -31,6 +33,7 @@ from decolab.liouville import (
 )
 from decolab.master_eq import build_liouvillian
 from decolab.open_system import evolve_unitary, lift_observable
+from decolab.timeseries import TimeSeries
 
 
 def random_density(rng, d):
@@ -200,6 +203,57 @@ def test_non_finite_operand_refused(entry, case, tmp_path):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="finite"):
             NON_FINITE_ENTRY_POINTS[entry](m, tmp_path)
+
+
+def _spoil(values, bad):
+    """``values`` as an array with entry 1 replaced by ``bad``, if given."""
+    values = np.array(values, dtype=float)
+    values[1] = values[1] if bad is None else bad
+    return values
+
+
+_T4, _V4 = np.arange(4.0), np.exp(-np.arange(4.0))
+_GRID = EnergyGrid.uniform(0.0, 1.0, 3)
+# every entry point of the shared finiteness and axis checks that no other
+# test refuses a NaN and an inf: each call, and the words of its refusal
+NON_FINITE_ARRAY_ENTRY_POINTS = {
+    "VanHoveState-diag": (lambda bad: VanHoveState(
+        _GRID, _spoil([1.0, 1.0, 1.0], bad)), "diagonal part must be finite"),
+    "VanHoveObservable-diag": (lambda bad: VanHoveObservable(
+        _GRID, _spoil([1.0, 1.0, 1.0], bad)), "diagonal part must be finite"),
+    "GeneralKernelObservable-diag": (lambda bad: GeneralKernelObservable(
+        _GRID, _spoil([1.0, 1.0, 1.0], bad)), "diagonal part must be finite"),
+    "TimeSeries-times": (lambda bad: TimeSeries(
+        _spoil(_T4, bad), {"a": _V4}),
+        "sample times must be finite and strictly increasing"),
+    "TimeSeries-channel": (lambda bad: TimeSeries(
+        _T4, {"a": _spoil(_V4, bad)}), "channel 'a' must be finite"),
+    "envelope-times": (lambda bad: envelope(_spoil(_T4, bad), _V4),
+                       "times must be finite and strictly increasing"),
+    "envelope-values": (lambda bad: envelope(_T4, _spoil(_V4, bad)),
+                        "values must be finite"),
+    "fit_decoherence_time-values": (lambda bad: fit_decoherence_time(
+        _T4, _spoil(_V4, bad)), "values must be finite"),
+    "fit_relaxation_time-times": (lambda bad: fit_relaxation_time(
+        _spoil(_T4, bad), _V4), "times must be finite and strictly increasing"),
+    "detect_weak_limit-times": (lambda bad: detect_weak_limit(
+        _spoil(_T4, bad), {"c": _V4}, 1e-3),
+        "times must be finite and strictly increasing"),
+    "detect_weak_limit-channel": (lambda bad: detect_weak_limit(
+        _T4, {"c": _V4, "d": _spoil(_V4, bad)}, 1e-3),
+        "channel 'd' must be finite"),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("entry", NON_FINITE_ARRAY_ENTRY_POINTS)
+def test_non_finite_array_refused_in_the_shared_words(entry, bad):
+    call, words = NON_FINITE_ARRAY_ENTRY_POINTS[entry]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=words):
+            call(bad)
+        call(None)
 
 
 class TestTiledHermiticity:

@@ -642,7 +642,8 @@ class TestNakajimaZwanzig:
         pi = eid_projector(2, 2)
         lv = build_liouvillian(h)
         with pytest.warns(RuntimeWarning, match="window"), \
-                pytest.raises(ValueError, match="increasing"):
+                pytest.raises(ValueError, match="sample times must be "
+                              "finite and strictly increasing"):
             evolve_nakajima_zwanzig(unvec(pi @ vec(raw)), pi, lv,
                                     [0.0, 5.0, 2.5, 4.0], kernel_window=1.0)
 

@@ -280,7 +280,8 @@ class TestSpinBathParams:
     def test_rejects_non_finite_couplings_and_angles(self, field, bad):
         values = {"couplings": (1.0, 0.5), "angles": (0.2, 1.1)}
         values[field] = (values[field][0], bad)
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError,
+                           match="couplings and angles must be finite"):
             SpinBathParams(**values)
 
 
@@ -544,7 +545,7 @@ class TestSpinBathScenario:
     def test_recurrence_window_refuses_non_finite_couplings(self, couplings):
         # unrefused, a NaN gap reads as "no recurrence" (inf) and an
         # infinite one as a window of 0
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match="couplings must be finite"):
             spin_bath_recurrence_window(couplings)
 
 

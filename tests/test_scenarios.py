@@ -185,6 +185,15 @@ class TestConfigParsing:
         cfg = parse_config(write_config(tmp_path, EID_CONFIG), seed=99)
         assert cfg.seed == 99
 
+    @pytest.mark.parametrize("seed, override", [("-5", None), ("3", -1)],
+                             ids=["config", "override"])
+    def test_negative_seed_names_the_key(self, tmp_path, seed, override):
+        # numpy refused it for eid-spin-bath, naming no key; the other kinds
+        # wrote it into the summary
+        text = EID_CONFIG.replace("seed = 3", f"seed = {seed}")
+        with pytest.raises(ConfigError, match=r"\[scenario\] key 'seed'"):
+            parse_config(write_config(tmp_path, text), seed=override)
+
     def test_tol_override(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, EID_CONFIG),
                            tol_overrides={"weak_limit_epsilon": 1e-5})
