@@ -54,9 +54,10 @@ def build_parser():
     fit = sub.add_parser("fit", parents=[tol],
                          help="fit characteristic times from a CSV record")
     fit.add_argument("--series", required=True, help="CSV written by 'run'")
+    decays = dict.fromkeys(k.decay for k in scenarios._KINDS.values())
     fit.add_argument("--channel", default=None,
-                     help="decay channel to fit (default: offdiag_modulus "
-                          "or offdiag_contrib, whichever exists)")
+                     help="decay channel to fit (default: "
+                          f"{' or '.join(decays)}, whichever exists)")
 
     cmp_ = sub.add_parser("compare",
                           help="tabulate t_D vs t_R across summary JSONs")
@@ -91,18 +92,15 @@ def _cmd_fit(args):
         raise scenarios.ConfigError(
             f"[tolerances] key '{unread[0]}': fit reads only fit_floor_log")
     series = TimeSeries.from_csv(args.series)
-    if args.channel is not None:
-        channel = args.channel
-    else:
-        for candidate in ("offdiag_modulus", "offdiag_contrib"):
-            if candidate in series.channels:
-                channel = candidate
-                break
-        else:
-            print("error: no decay channel found; pass --channel "
-                  f"(available: {', '.join(series.channels)})",
-                  file=sys.stderr)
-            return 2
+    # the decay and relax channels that runs write, in kind order
+    kinds = scenarios._KINDS.values()
+    decays = [k.decay for k in kinds if k.decay in series.channels]
+    relaxes = [k.relax for k in kinds if k.relax in series.channels]
+    if args.channel is None and not decays:
+        print("error: no decay channel found; pass --channel "
+              f"(available: {', '.join(series.channels)})", file=sys.stderr)
+        return 2
+    channel = decays[0] if args.channel is None else args.channel
     try:
         values = series.channel(channel)
     except KeyError as exc:
@@ -114,10 +112,9 @@ def _cmd_fit(args):
         "channel": channel,
         "t_D": fit_decoherence_time(series.times, values, floor).as_dict(),
     }
-    if "diag_distance" in series.channels:
-        out["t_R"] = fit_relaxation_time(series.times,
-                                         series.channel("diag_distance"),
-                                         floor).as_dict()
+    if relaxes:
+        out["t_R"] = fit_relaxation_time(
+            series.times, series.channels[relaxes[0]], floor).as_dict()
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0
 

@@ -80,7 +80,7 @@ class EnergyGrid:
     weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        w = _axis(_frozen(self.omega), "grid energies", 2)
+        w = _frozen(_axis(self.omega, "grid energies", 2))
         if w[0] < 0:
             raise ValueError("grid energies must be >= 0")
         q = np.empty_like(w)
@@ -133,12 +133,11 @@ def _validate_kernels(obj, offdiag_field, what):
     of O(1) memory, never checked: zero is Hermitian.  Returns the diagonal.
     """
     grid = obj.grid
-    d = _frozen(obj.diag)
+    d = _frozen(_finite(obj.diag, "diagonal part"))
     if d.shape != grid.omega.shape:
         raise DimensionMismatchError(
             f"diag shape {d.shape} vs grid size {grid.size}"
         )
-    _finite(d, "diagonal part")
     off = getattr(obj, offdiag_field)
     off = (np.broadcast_to(0j, (grid.size, grid.size)) if off is None
            else _check_kernel(grid, off, what))

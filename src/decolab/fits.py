@@ -6,6 +6,7 @@ dephasing and relaxation scales sit across scenarios.
 """
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -48,6 +49,8 @@ class FitResult:
 
 _NOT_DECAYING = FitResult(None, None, None, None,
                           "no fit: envelope is not decaying")
+_NO_DISSIPATION = FitResult(None, None, None, None,
+                            "not applicable (no dissipation)")
 
 
 @dataclass(frozen=True)
@@ -154,8 +157,7 @@ def fit_relaxation_time(times, values, floor_log=FIT_FLOOR_LOG):
     never leaves equilibrium reports that relaxation is not applicable
     rather than inventing a time scale.
     """
-    return _fit(times, values, (1,), "not applicable (no dissipation)",
-                floor_log)
+    return _fit(times, values, (1,), _NO_DISSIPATION.status, floor_log)
 
 
 def detect_weak_limit(times, channels, epsilon, recurrence_window=None):
@@ -247,7 +249,7 @@ def _summary_times(summary, where):
     times = []
     for key in ("t_D", "t_R"):
         value = summary.get(key)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
             times.append(None)
         elif 0 < value < math.inf:
             times.append(float(value))

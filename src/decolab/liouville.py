@@ -57,9 +57,21 @@ BIORTHOGONALITY_TOL = 1e-10
 _TILE = 128
 
 
+def _real(x, what, dtype=float):
+    """``x`` as a ``dtype`` array; where ``dtype`` is real (None keeps
+    complex), an entry with an imaginary part is refused by name."""
+    x = np.asarray(x)
+    if x.dtype.kind == "c" and np.dtype(dtype or complex).kind != "c":
+        bad = x[x.imag != 0]
+        if bad.size:
+            raise ValueError(f"{what} must be real, got {bad[0]}")
+        x = x.real.copy()
+    return np.asarray(x, dtype=dtype)
+
+
 def _finite(x, what="sample times", dtype=float):
-    """``x`` as a ``dtype`` array, refused by name if not finite."""
-    x = np.asarray(x, dtype=dtype)
+    """``x`` as a ``dtype`` array, refused by name if not real or finite."""
+    x = _real(x, what, dtype)
     bad = x[~np.isfinite(x)]
     if bad.size:
         raise ValueError(f"{what} must be finite, got {bad[0]}")
@@ -67,9 +79,9 @@ def _finite(x, what="sample times", dtype=float):
 
 
 def _axis(x, what, at_least):
-    """``x`` as a float array: 1-d, at least ``at_least`` entries, finite and
-    strictly increasing ("not all > 0" refuses NaN gaps too)."""
-    x = np.asarray(x, dtype=float)
+    """``x`` as a float array: real, 1-d, at least ``at_least`` entries,
+    finite and strictly increasing ("not all > 0" refuses NaN gaps too)."""
+    x = _real(x, what)
     if x.ndim != 1 or x.size < at_least:
         raise ValueError(f"{what} must be 1-d with at least {at_least} "
                          f"entries, got shape {x.shape}")
@@ -79,7 +91,7 @@ def _axis(x, what, at_least):
 
 
 def _frozen(a, dtype=float):
-    """A read-only ``dtype`` copy of ``a``."""
+    """A read-only ``dtype`` copy of ``a``, checked by the caller."""
     a = np.array(a, dtype=dtype)
     a.setflags(write=False)
     return a

@@ -28,6 +28,7 @@ from .liouville import (
     BiorthogonalBasis,
     DimensionMismatchError,
     _finite,
+    _real,
     build_projector,
     unvec,
     validate_density,
@@ -80,8 +81,8 @@ class SpinBathParams:
     amplitude_1: complex = 1 / np.sqrt(2)
 
     def __post_init__(self):
-        g = tuple(float(x) for x in self.couplings)
-        th = tuple(float(x) for x in self.angles)
+        g = tuple(float(x) for x in _real(self.couplings, "couplings"))
+        th = tuple(float(x) for x in _real(self.angles, "angles"))
         if len(g) != len(th) or not g:
             raise ValueError(
                 f"{len(g)} couplings vs {len(th)} angles (need equal, nonzero)"

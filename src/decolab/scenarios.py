@@ -5,12 +5,22 @@ sampling window; running it produces a deterministic multi-channel CSV
 plus a JSON summary holding the fitted characteristic times, the
 detected weak limit, the recurrence window, and any honesty flags.
 Identical config and seed reproduce the output files byte for byte.
+
+A kind is one record in ``_KINDS``, read alike by the run, the oracle
+and ``decolab fit``.  It holds ``system(config)``, the seeded system that
+``route(system, times)`` and ``oracle(system, times)`` each map to named
+channels; ``window(system)``, the recurrence window or None; and the
+names of the ``decay`` channel that t_D is fitted to, the ``relax``
+channel that t_R is fitted to (None: no dissipation, t_R not applicable)
+and the ``watched`` channels of the weak limit, the first of which gives
+the equilibrium value.
 """
 
 import configparser
 import json
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -154,11 +164,6 @@ def _check_keys(cp, section, known):
             )
 
 
-def _parse_params(cp, kind):
-    return {key: _get(cp, kind, key, *spec)
-            for key, spec in _PARAMS[kind].items()}
-
-
 def parse_tolerances(overrides=None, cp=None):
     """[tolerances] of config ``cp`` (default: none) with the ``overrides``
     mapping merged over it, each value read and checked as in the file."""
@@ -208,7 +213,8 @@ def parse_config(path, seed=None, tol_overrides=None):
     samples = _get(cp, "scenario", "samples", int,
                    check=lambda n: n >= MIN_SAMPLES,
                    why=f"need at least {MIN_SAMPLES} samples")
-    params = _parse_params(cp, kind)
+    params = {key: _get(cp, kind, key, *spec)
+              for key, spec in _PARAMS[kind].items()}
     if kind == "eid-spin-bath" and params["coupling_max"] < params["coupling_min"]:
         raise ConfigError(
             "[eid-spin-bath] key 'coupling_max': must be >= coupling_min"
@@ -230,44 +236,8 @@ def parse_config(path, seed=None, tol_overrides=None):
 
 
 # ---------------------------------------------------------------------------
-# runners
+# kinds
 # ---------------------------------------------------------------------------
-
-def _summary(config, times, decay, relax, watched, monitored,
-             recurrence_window):
-    """Fit t_D to the ``decay`` channel and t_R to the ``relax`` distance
-    from equilibrium, find the weak limit of the ``watched`` channels, and
-    report it through the ``monitored`` one."""
-    tol = config.tolerances
-    fit_d = fits.fit_decoherence_time(times, decay,
-                                      floor_log=tol["fit_floor_log"])
-    fit_r = fits.fit_relaxation_time(times, relax,
-                                     floor_log=tol["fit_floor_log"])
-    weak = fits.detect_weak_limit(times, watched,
-                                  epsilon=tol["weak_limit_epsilon"],
-                                  recurrence_window=recurrence_window)
-    flags = list(weak.flags)
-    if not fit_d.ok:
-        flags.append("t_D: " + fit_d.status)
-    elif fit_d.value > times[-1]:
-        flags.append("t_D: beyond the record, extrapolated")
-    if not fit_r.ok:
-        flags.append("t_R: " + fit_r.status)
-    if recurrence_window is None:
-        flags.append("no recurrence (aperiodic generator)")
-    return {
-        "scenario": config.name,
-        "kind": config.kind,
-        "seed": config.seed,
-        "t_D": fit_d.value,
-        "t_R": fit_r.value,
-        "equilibrium_value": weak.equilibrium[monitored],
-        "fit_quality": {"t_D": fit_d.r_squared, "t_R": fit_r.r_squared},
-        "recurrence_window": recurrence_window,
-        "weak_limit_t_star": weak.t_star,
-        "flags": flags,
-    }
-
 
 def _spin_bath(config):
     """The seeded bath of an eid-spin-bath ``config``."""
@@ -285,15 +255,8 @@ def _spin_bath(config):
                           amplitude_1=math.sqrt(1.0 - amp0 ** 2))
 
 
-def _time_axis(config):
-    """The ``samples`` times from 0 to t_max that a run and its oracle share."""
-    return np.linspace(0.0, config.t_max, config.samples)
-
-
-def _run_eid(config, times):
-    params = _spin_bath(config)
-    rhos = spin_bath_reduced_dynamics(params, times)
-
+def _eid_route(bath, times):
+    rhos = spin_bath_reduced_dynamics(bath, times)
     channels = {}
     for i in range(2):
         for j in range(2):
@@ -301,19 +264,7 @@ def _run_eid(config, times):
             channels[f"rho{i}{j}_im"] = rhos[:, i, j].imag
     channels["purity"] = purity(rhos)
     channels["offdiag_modulus"] = np.abs(rhos[:, 0, 1])
-    series = TimeSeries(times=times, channels=channels)
-
-    recurrence = spin_bath_recurrence_window(params.couplings)
-    if not math.isfinite(recurrence):
-        recurrence = None
-    # pure dephasing: populations are constants of motion, so the
-    # relaxation channel is their drift from the final value (zero here)
-    pops = channels["rho00_re"]
-    summary = _summary(config, times, channels["offdiag_modulus"],
-                       pops - float(pops[-1]),
-                       {"offdiag_modulus": channels["offdiag_modulus"]},
-                       "offdiag_modulus", recurrence)
-    return series, summary
+    return channels
 
 
 def _sid_pair(config):
@@ -328,78 +279,112 @@ def _sid_pair(config):
     return sid_scenario(grid, kernel, p["center"], p["width"], p["amplitude"])
 
 
-def _run_sid(config, times):
-    state, obs = _sid_pair(config)
+def _sid_route(pair, times):
+    state, obs = pair
     expect = expectation_sid(state, obs, times)
     # H has no regular kernel, so its pairing is sid_limit at every time
     e_h = sid_limit(state, hamiltonian_observable(state.grid))
-    energy = np.full(times.shape, e_h)
-    series = TimeSeries(times=times, channels={
-        "expectation": expect,
-        "offdiag_contrib": expect - sid_limit(state, obs),
-        "energy": energy,
-    })
-
-    # the closed route has no dissipation channel: <H> is a constant of
-    # motion and the populations never move, so t_R must come out n/a
-    summary = _summary(config, times, series.channels["offdiag_contrib"],
-                       energy - e_h, {"expectation": expect},
-                       "expectation", state.grid.recurrence_window())
-    return series, summary
+    return {"expectation": expect,
+            "offdiag_contrib": expect - sid_limit(state, obs),
+            "energy": np.full(times.shape, e_h)}
 
 
-def _run_toy(config, times):
-    toy = dissipative_toy(**config.params)
-    states = evolve_linear_generator(toy.generator, toy.rho0, times)
+def _toy_channels(toy, states):
+    """Each state's populations, the Frobenius norm of its off-diagonal part
+    and the distance of its populations from equilibrium."""
     p_star = np.asarray(toy.equilibrium, dtype=float)
-
     pops = states.diagonal(axis1=1, axis2=2).real
-    # Frobenius norm of each off-diagonal part, summed the way
-    # np.linalg.norm sums one matrix: real and imaginary dot products
-    off = (states * (1 - np.eye(p_star.size))).reshape(times.size, 1, -1)
-    offdiag = np.sqrt((off.real @ off.real.swapaxes(1, 2)
-                       + off.imag @ off.imag.swapaxes(1, 2))[:, 0, 0])
-    diag_dist = np.linalg.norm(pops - p_star, axis=1)
+    # the norm summed the way np.linalg.norm sums one matrix: real and
+    # imaginary dot products
+    off = (states * (1 - np.eye(p_star.size))).reshape(len(states), 1, -1)
     channels = {f"p{i}": pops[:, i] for i in range(p_star.size)}
-    channels["offdiag_modulus"] = offdiag
-    channels["diag_distance"] = diag_dist
-    series = TimeSeries(times=times, channels=channels)
-
-    summary = _summary(config, times, offdiag, diag_dist,
-                       {"offdiag_modulus": offdiag, "diag_distance": diag_dist},
-                       "diag_distance", None)
-    return series, summary
+    channels["offdiag_modulus"] = np.sqrt(
+        (off.real @ off.real.swapaxes(1, 2)
+         + off.imag @ off.imag.swapaxes(1, 2))[:, 0, 0])
+    channels["diag_distance"] = np.linalg.norm(pops - p_star, axis=1)
+    return channels
 
 
-_RUNNERS = {
-    "eid-spin-bath": _run_eid,
-    "sid-kernel": _run_sid,
-    "master-eq-toy": _run_toy,
+def _toy_oracle(toy, times):
+    # the route's channels at rho0, each decaying at its own rate
+    at0 = _toy_channels(toy, toy.rho0[None])
+    rates = {"offdiag_modulus": toy.gamma_decohere,
+             "diag_distance": toy.gamma_relax}
+    return {c: at0[c] * np.exp(-rate * times) for c, rate in rates.items()}
+
+
+_Kind = namedtuple("_Kind", "system route oracle window decay relax watched")
+# each function here looks up what it calls in this module at call time,
+# so that a wrapper set on the module sees the call
+_KINDS = {
+    # pure dephasing: the populations are constants of motion
+    "eid-spin-bath": _Kind(
+        _spin_bath, _eid_route, lambda bath, times: {
+            "offdiag_modulus": np.abs(spin_bath_coherence(bath, times))},
+        lambda bath: spin_bath_recurrence_window(bath.couplings),
+        "offdiag_modulus", None, ("offdiag_modulus",)),
+    # closed: <H> and the populations are constants of motion
+    "sid-kernel": _Kind(
+        _sid_pair, _sid_route, lambda pair, times: {
+            "expectation": discretized_unitary_oracle(*pair, times)},
+        lambda pair: pair[0].grid.recurrence_window(),
+        "offdiag_contrib", None, ("expectation",)),
+    "master-eq-toy": _Kind(
+        lambda config: dissipative_toy(**config.params),
+        lambda toy, times: _toy_channels(toy, evolve_linear_generator(
+            toy.generator, toy.rho0, times)),
+        _toy_oracle, lambda toy: None, "offdiag_modulus", "diag_distance",
+        ("diag_distance", "offdiag_modulus")),
 }
 
 
+def _time_axis(config):
+    """The ``samples`` times from 0 to t_max that a run and its oracle share."""
+    return np.linspace(0.0, config.t_max, config.samples)
+
+
+def _summary(config, series, kind, recurrence_window):
+    """Fit t_D and t_R to ``kind``'s decay and relax channels of ``series``
+    and find the weak limit of its watched ones."""
+    tol, times, ch = config.tolerances, series.times, series.channels
+    floor = tol["fit_floor_log"]
+    fit_d = fits.fit_decoherence_time(times, ch[kind.decay], floor)
+    fit_r = fits._NO_DISSIPATION if kind.relax is None else \
+        fits.fit_relaxation_time(times, ch[kind.relax], floor)
+    weak = fits.detect_weak_limit(times, {c: ch[c] for c in kind.watched},
+                                  epsilon=tol["weak_limit_epsilon"],
+                                  recurrence_window=recurrence_window)
+    flags = list(weak.flags)
+    if not fit_d.ok:
+        flags.append("t_D: " + fit_d.status)
+    elif fit_d.value > times[-1]:
+        flags.append("t_D: beyond the record, extrapolated")
+    if not fit_r.ok:
+        flags.append("t_R: " + fit_r.status)
+    if recurrence_window is None:
+        flags.append("no recurrence (aperiodic generator)")
+    return {
+        "scenario": config.name,
+        "kind": config.kind,
+        "seed": config.seed,
+        "t_D": fit_d.value,
+        "t_R": fit_r.value,
+        "equilibrium_value": weak.equilibrium[kind.watched[0]],
+        "fit_quality": {"t_D": fit_d.r_squared, "t_R": fit_r.r_squared},
+        "recurrence_window": recurrence_window,
+        "weak_limit_t_star": weak.t_star,
+        "flags": flags,
+    }
+
+
 def oracle_series(config):
-    """``config``'s reference record at its run's times, under its run's
-    channel names: the closed-form coherence (eid-spin-bath), the toy's two
-    exponentials, or :func:`discretized_unitary_oracle` over all of them
-    (sid-kernel; a grid over ORACLE_GRID_CAP raises before it is built)."""
-    times = _time_axis(config)
-    if config.kind == "eid-spin-bath":
-        coherence = spin_bath_coherence(_spin_bath(config), times)
-        channels = {"offdiag_modulus": np.abs(coherence)}
-    elif config.kind == "sid-kernel":
+    """``config``'s reference record, of the system its run evolves, at its
+    run's times and under its run's channel names; a sid-kernel grid over
+    ORACLE_GRID_CAP raises before the system is built."""
+    if config.kind == "sid-kernel":
         _check_oracle_cap(config.params["n"])
-        channels = {"expectation": discretized_unitary_oracle(
-            *_sid_pair(config), times)}
-    else:
-        toy = dissipative_toy(**config.params)
-        rho0 = toy.rho0
-        off0 = np.linalg.norm(rho0 - np.diag(np.diag(rho0)))
-        gap0 = np.linalg.norm(np.diag(rho0).real - toy.equilibrium)
-        channels = {
-            "offdiag_modulus": off0 * np.exp(-toy.gamma_decohere * times),
-            "diag_distance": gap0 * np.exp(-toy.gamma_relax * times)}
-    return TimeSeries(times=times, channels=channels)
+    kind, times = _KINDS[config.kind], _time_axis(config)
+    return TimeSeries(times, kind.oracle(kind.system(config), times))
 
 
 def run_scenario(config, out_dir):
@@ -411,7 +396,10 @@ def run_scenario(config, out_dir):
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    series, summary = _RUNNERS[config.kind](config, _time_axis(config))
+    kind, times = _KINDS[config.kind], _time_axis(config)
+    system = kind.system(config)
+    series = TimeSeries(times, kind.route(system, times))
+    summary = _summary(config, series, kind, kind.window(system))
     csv_path = out / f"{config.name}.csv"
     json_path = out / f"{config.name}.json"
     series.to_csv(csv_path)

@@ -29,20 +29,20 @@ class TimeSeries:
     channels: dict
 
     def __post_init__(self):
-        t = _axis(_frozen(self.times), "sample times", 2)
+        t = _frozen(_axis(self.times, "sample times", 2))
         if not self.channels:
             raise ValueError("need at least one channel")
         clean = {}
         for name, vals in self.channels.items():
             if not _NAME_RE.match(name):
                 raise ValueError(f"channel name {name!r} is not an identifier")
-            v = _frozen(vals)
+            v = _frozen(_finite(vals, f"channel {name!r}"))
             if v.shape != t.shape:
                 raise ValueError(
                     f"channel {name!r} has {v.size} samples, time axis has "
                     f"{t.size}"
                 )
-            clean[name] = _finite(v, f"channel {name!r}")
+            clean[name] = v
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "channels", clean)
 

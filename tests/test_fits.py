@@ -1,9 +1,12 @@
 """Envelope fitting, weak-limit detection, and the ordering table."""
 
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 from scipy.optimize import brentq
 
 from decolab.fits import (FitResult, detect_weak_limit, envelope,
@@ -110,6 +113,17 @@ def test_rejects_non_finite_floor_log(fit, floor_log):
     t = np.linspace(0, 30, 600)
     with pytest.raises(ValueError, match="floor_log"):
         fit(t, np.exp(-t / 5), floor_log=floor_log)
+
+
+    def test_complex_values_are_fitted_by_their_modulus(self):
+        # the fits read |values|, so a complex channel is kept, not refused
+        t = np.linspace(0.0, 10.0, 200)
+        c = np.exp((-1.0 + 3.0j) * t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fit in (fit_decoherence_time, fit_relaxation_time):
+                assert fit(t, c).ok and fit(t, c) == fit(t, np.abs(c))
+            assert_array_equal(envelope(t, c), envelope(t, np.abs(c)))
 
 
 class TestRelaxationFit:
@@ -222,6 +236,18 @@ class TestWeakLimit:
             detect_weak_limit(t, channels, epsilon=1e-3)
 
 
+    def test_complex_channel_refused(self):
+        # read as its real part, this channel settled at t 6.73, although
+        # its modulus never comes within 0.5 of a mean
+        t = np.linspace(0.0, 10.0, 200)
+        channel = np.exp(-t) + 0.5j * (t > 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match=r"channel 'c' must be real, got \("):
+                detect_weak_limit(t, {"c": channel}, 1e-3)
+
+
 class TestOrderingReport:
     def summaries(self):
         return [
@@ -271,6 +297,26 @@ class TestOrderingReport:
         with pytest.raises(ValueError, match=f"scenario 'bad': key '{key}' "
                            f"= {value!r} must be positive and finite"):
             ordering_report(self.summaries() + [summary])
+
+    @pytest.mark.parametrize("key, value", [("t_R", np.int64(5)),
+                                            ("t_D", np.float32(1.0))])
+    def test_numpy_scalar_time_is_read(self, key, value):
+        # both read as missing before, with status n/a
+        summary = {"scenario": "np", "kind": "master-eq-toy",
+                   "t_D": 1.0, "t_R": 5.0, key: value}
+        report = ordering_report([summary])
+        row = report.rows[0]
+        assert (row.t_D, row.t_R, row.status) == (1.0, 5.0, "ok")
+        assert type(getattr(row, key)) is float
+        json.dumps(report.as_dict())
+
+    @pytest.mark.parametrize("value", [np.float64(0.0), np.int64(-1),
+                                       np.float32("nan")])
+    def test_numpy_scalar_time_not_positive_and_finite_refused(self, value):
+        summary = {"scenario": "np", "kind": "k", "t_D": value, "t_R": 5.0}
+        with pytest.raises(ValueError, match="scenario 'np': key 't_D' = "
+                           ".* must be positive and finite"):
+            ordering_report([summary])
 
     def test_dict_form_is_json_ready(self):
         import json

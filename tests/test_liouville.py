@@ -9,7 +9,8 @@ from numpy.testing import assert_allclose
 
 from decolab.continuum import (EnergyGrid, GeneralKernelObservable,
                                VanHoveObservable, VanHoveState,
-                               load_table_kernel)
+                               discretized_unitary_oracle, expectation_sid,
+                               load_table_kernel, phase_sum)
 from decolab.fits import (detect_weak_limit, envelope, fit_decoherence_time,
                           fit_relaxation_time)
 from decolab.liouville import (
@@ -31,8 +32,11 @@ from decolab.liouville import (
     validate_observable,
     vec,
 )
-from decolab.master_eq import build_liouvillian
-from decolab.open_system import evolve_unitary, lift_observable
+from decolab.master_eq import (build_liouvillian, dissipative_toy,
+                               evolve_linear_generator, evolve_master_exact)
+from decolab.open_system import (SpinBathParams, evolve_unitary,
+                                 lift_observable, spin_bath_coherence,
+                                 spin_bath_reduced_dynamics)
 from decolab.timeseries import TimeSeries
 
 
@@ -253,6 +257,88 @@ def test_non_finite_array_refused_in_the_shared_words(entry, bad):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=words):
             call(bad)
+        call(None)
+
+
+def _imaginary(values, imag):
+    """``values`` as a complex array with ``imag`` added to the imaginary
+    part of entry 1, if given."""
+    values = np.array(values, dtype=complex)
+    values[1] += 0 if imag is None else 1j * imag
+    return values
+
+
+_STATE = VanHoveState(_GRID, [1.0, 1.0, 1.0])
+_OBS = VanHoveObservable(_GRID, [1.0, 1.0, 1.0])
+_BATH = SpinBathParams(couplings=[1.0, 0.5], angles=[0.3, 1.1])
+_TOY = dissipative_toy()
+# every entry point of the shared real check: each call, and the words of
+# its refusal of a complex array where a real one is required
+COMPLEX_ARRAY_ENTRY_POINTS = {
+    "EnergyGrid-omega": (lambda imag: EnergyGrid(
+        _imaginary([0.0, 0.5, 1.0], imag)), "grid energies"),
+    "VanHoveState-diag": (lambda imag: VanHoveState(
+        _GRID, _imaginary([1.0, 1.0, 1.0], imag)), "diagonal part"),
+    "VanHoveObservable-diag": (lambda imag: VanHoveObservable(
+        _GRID, _imaginary([1.0, 1.0, 1.0], imag)), "diagonal part"),
+    "GeneralKernelObservable-diag": (lambda imag: GeneralKernelObservable(
+        _GRID, _imaginary([1.0, 1.0, 1.0], imag)), "diagonal part"),
+    "SpinBathParams-couplings": (lambda imag: SpinBathParams(
+        couplings=_imaginary([1.0, 0.5], imag), angles=[0.3, 1.1]),
+        "couplings"),
+    "SpinBathParams-angles": (lambda imag: SpinBathParams(
+        couplings=[1.0, 0.5], angles=_imaginary([0.3, 1.1], imag)),
+        "angles"),
+    "TimeSeries-times": (lambda imag: TimeSeries(
+        _imaginary(_T4, imag), {"a": _V4}), "sample times"),
+    "TimeSeries-channel": (lambda imag: TimeSeries(
+        _T4, {"a": _imaginary(_V4, imag)}), "channel 'a'"),
+    "envelope-times": (lambda imag: envelope(_imaginary(_T4, imag), _V4),
+                       "times"),
+    "fit_relaxation_time-times": (lambda imag: fit_relaxation_time(
+        _imaginary(_T4, imag), _V4), "times"),
+    "detect_weak_limit-times": (lambda imag: detect_weak_limit(
+        _imaginary(_T4, imag), {"c": _V4}, 1e-3), "times"),
+    "detect_weak_limit-channel": (lambda imag: detect_weak_limit(
+        _T4, {"c": _V4, "d": _imaginary(_V4, imag)}, 1e-3), "channel 'd'"),
+    "expectation_sid-times": (lambda imag: expectation_sid(
+        _STATE, _OBS, _imaginary(_T4, imag)), "sample times"),
+    "expectation_sid-time-list": (lambda imag: expectation_sid(
+        _STATE, _OBS, list(_imaginary(_T4, imag))), "sample times"),
+    "phase_sum-nu": (lambda imag: phase_sum(
+        _imaginary([-1.0, 0.5, 1.0], imag), np.ones(3), _T4),
+        "phase_sum: nu"),
+    "discretized_unitary_oracle-times": (lambda imag:
+        discretized_unitary_oracle(_STATE, _OBS, _imaginary(_T4, imag)),
+        "sample times"),
+    "spin_bath_reduced_dynamics-times": (lambda imag:
+        spin_bath_reduced_dynamics(_BATH, _imaginary(_T4, imag)),
+        "sample times"),
+    "spin_bath_coherence-times": (lambda imag: spin_bath_coherence(
+        _BATH, _imaginary(_T4, imag)), "sample times"),
+    "evolve_unitary-times": (lambda imag: evolve_unitary(
+        np.eye(2) / 2, np.diag([0.0, 1.0]), _imaginary(_T4, imag)),
+        "sample times"),
+    "evolve_linear_generator-times": (lambda imag: evolve_linear_generator(
+        _TOY.generator, _TOY.rho0, _imaginary(_T4, imag)), "sample times"),
+    "evolve_master_exact-times": (lambda imag: evolve_master_exact(
+        np.eye(2) / 2, diagonal_projector(2),
+        build_liouvillian(np.diag([0.0, 1.0])), _imaginary(_T4, imag)),
+        "sample times"),
+}
+
+
+@pytest.mark.parametrize("imag", [0.5, -1e-300])
+@pytest.mark.parametrize("entry", COMPLEX_ARRAY_ENTRY_POINTS)
+def test_complex_array_refused_where_real_is_required(entry, imag):
+    # numpy casts complex to real with only a ComplexWarning; a zero
+    # imaginary part is real and is accepted
+    call, what = COMPLEX_ARRAY_ENTRY_POINTS[entry]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^{what} must be real, got "
+                           rf"\(.*{imag!r}j\)$"):
+            call(imag)
         call(None)
 
 

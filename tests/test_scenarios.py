@@ -14,10 +14,11 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import decolab
+from decolab.cli import main
 from decolab.open_system import SpinBathParams, spin_bath_coherence
 from decolab.scenarios import (_FINITE, _PARAMS, _POSITIVE, _TOLERANCES,
-                               ConfigError, ScenarioConfig, oracle_series,
-                               parse_config, run_scenario)
+                               KINDS, ConfigError, ScenarioConfig,
+                               oracle_series, parse_config, run_scenario)
 from decolab.timeseries import TimeSeries
 
 
@@ -512,7 +513,9 @@ class TestOracleSeries:
         # building an n = 2000 pair reaches 122 MB ru_maxrss and a table
         # config parses its n^2 rows, so the cap is checked before either
         built = []
-        monkeypatch.setattr(decolab.scenarios, "_sid_pair", built.append)
+        kinds = decolab.scenarios._KINDS
+        monkeypatch.setitem(kinds, "sid-kernel",
+                            kinds["sid-kernel"]._replace(system=built.append))
         table = f"kernel_csv = {tmp_path / 'absent.csv'}\n" \
             if family == "table" else ""
         config = parse_config(write_config(
@@ -521,3 +524,80 @@ class TestOracleSeries:
         with pytest.raises(ValueError, match="oracle capped at N = 400"):
             oracle_series(config)
         assert built == []
+        # under the cap the oracle reaches the same patched builder, which
+        # hands it None in place of a pair
+        small = parse_config(write_config(tmp_path, SID_CONFIG, "small.ini"))
+        with pytest.raises(TypeError):
+            oracle_series(small)
+        assert built == [small]
+
+
+# a config of each kind, built in a temporary directory
+KIND_CONFIGS = {
+    "eid-spin-bath": lambda tmp_path: EID_CONFIG,
+    "sid-kernel": lambda tmp_path: SID_CONFIG,
+    "sid-kernel-table": lambda tmp_path: table_config(tmp_path, n=60),
+    "master-eq-toy": lambda tmp_path: TOY_CONFIG,
+}
+
+
+class TestKindRecords:
+    """Each kind is one record, read alike by run, oracle and ``fit``."""
+
+    def run(self, tmp_path, case):
+        config = parse_config(write_config(tmp_path,
+                                           KIND_CONFIGS[case](tmp_path)))
+        return config, run_scenario(config, tmp_path / "out")
+
+    def test_every_kind_is_covered(self):
+        assert {case.replace("-table", "") for case in KIND_CONFIGS} \
+            == set(KINDS)
+
+    @pytest.mark.parametrize("case", KIND_CONFIGS)
+    def test_oracle_channels_are_run_channels(self, tmp_path, case):
+        config, run = self.run(tmp_path, case)
+        oracle = oracle_series(config)
+        assert oracle.channels.keys() <= run.series.channels.keys()
+        assert_array_equal(oracle.times, run.series.times)
+
+    @pytest.mark.parametrize("case", KIND_CONFIGS)
+    def test_fit_of_the_record_gives_the_run_times(self, tmp_path, capsys,
+                                                    case):
+        _, run = self.run(tmp_path, case)
+        summary = json.loads(run.json_path.read_text())
+        assert main(["fit", "--series", str(run.csv_path)]) == 0
+        fit = json.loads(capsys.readouterr().out)
+        assert summary["t_D"] is not None
+        assert fit["t_D"]["value"] == summary["t_D"]
+        if case == "master-eq-toy":
+            assert summary["t_R"] is not None
+            assert fit["t_R"]["value"] == summary["t_R"]
+        else:
+            assert "t_R" not in fit and summary["t_R"] is None
+
+    @pytest.mark.parametrize("case", ["eid-spin-bath", "sid-kernel"])
+    def test_closed_kinds_flag_t_r_not_applicable(self, tmp_path, case):
+        summary = self.run(tmp_path, case)[1].summary
+        assert "t_R: not applicable (no dissipation)" in summary["flags"]
+        assert summary["t_R"] is None
+        assert summary["fit_quality"]["t_R"] is None
+
+    # each name a profiler wraps in this module, and a run that calls it
+    @pytest.mark.parametrize("name, case", [
+        ("spin_bath_reduced_dynamics", "eid-spin-bath"),
+        ("purity", "eid-spin-bath"),
+        ("expectation_sid", "sid-kernel"),
+        ("load_table_kernel", "sid-kernel-table"),
+        ("evolve_linear_generator", "master-eq-toy")])
+    def test_run_calls_the_module_binding(self, tmp_path, monkeypatch, name,
+                                          case):
+        calls = []
+        bound = getattr(decolab.scenarios, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return bound(*args, **kwargs)
+
+        monkeypatch.setattr(decolab.scenarios, name, wrapped)
+        self.run(tmp_path, case)
+        assert calls == [name]
