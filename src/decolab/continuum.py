@@ -58,6 +58,8 @@ __all__ = [
 ORACLE_GRID_CAP = 400
 # table energies must sit this close to a grid point
 TABLE_MATCH_TOL = 1e-9
+# table rows matched to grid points per block: O(block) temporaries
+_TABLE_BLOCK = 8192
 
 
 class UntaggedComponentError(ValueError):
@@ -444,9 +446,15 @@ def load_table_kernel(path, grid):
     """Load an off-diagonal kernel from CSV rows (omega, omega', re, im).
 
     Every (omega_i, omega_j) pair of the working grid must be covered
-    exactly once (values matched to grid points within TABLE_MATCH_TOL);
-    the assembled kernel must be Hermitian.
+    exactly once, in any row order (values matched to grid points within
+    TABLE_MATCH_TOL); the assembled kernel must be Hermitian.  Memory is
+    the parsed table, one index per row and the kernel: the table is
+    freed before the kernel is copied and checked.
     """
+    return _check_kernel(grid, _table_kernel(path, grid), "table")
+
+
+def _table_kernel(path, grid):
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -457,26 +465,33 @@ def load_table_kernel(path, grid):
         raise ValueError(f"{path}: empty table, no data rows")
     if table.shape[1] != 4:
         raise ValueError(f"{path}: need 4 columns, read shape {table.shape}")
-    pts = table[:, :2]
-    # column by column: the needles of a row-major table come sorted
-    idx = grid.nearest(pts.T).T
-    # written as "not within" so that a NaN energy is refused too
-    off = ~np.all(np.abs(grid.omega[idx] - pts) <= TABLE_MATCH_TOL, axis=1)
-    if off.any():
-        wi, wj = pts[np.argmax(off)]
-        raise ValueError(f"{path}: ({wi}, {wj}) is not a grid point")
-    flat = idx[:, 0] * grid.size + idx[:, 1]
-    counts = np.bincount(flat, minlength=grid.size ** 2)
+    n = grid.size
+    flat = np.empty(len(table), dtype=np.intp)
+    for start in range(0, len(table), _TABLE_BLOCK):
+        pts = table[start:start + _TABLE_BLOCK, :2]
+        # column by column: the needles of a row-major table come sorted
+        idx = grid.nearest(pts.T)
+        # written as "not within" so that a NaN energy is refused too
+        off = ~np.all(np.abs(grid.omega[idx] - pts.T) <= TABLE_MATCH_TOL,
+                      axis=0)
+        if off.any():
+            wi, wj = pts[np.argmax(off)]
+            raise ValueError(f"{path}: ({wi}, {wj}) is not a grid point")
+        out = flat[start:start + len(pts)]
+        np.multiply(idx[0], n, out=out)
+        out += idx[1]
+    counts = np.bincount(flat, minlength=n * n)
     if counts.max() > 1:
-        wi, wj = pts[np.argmax(counts[flat] > 1)]
+        wi, wj = table[np.argmax(counts[flat] > 1), :2]
         raise ValueError(f"{path}: ({wi}, {wj}) is given more than once")
-    missing = int(np.sum(counts == 0))
+    missing = n * n - np.count_nonzero(counts)
     if missing:
         raise ValueError(f"{path}: kernel incomplete, {missing} grid pairs unset")
-    kernel = np.empty(grid.size ** 2, dtype=complex)
+    del counts
+    kernel = np.empty(n * n, dtype=complex)
     kernel.real[flat] = table[:, 2]
     kernel.imag[flat] = table[:, 3]
-    return _check_kernel(grid, kernel.reshape(grid.size, grid.size), "table")
+    return kernel.reshape(n, n)
 
 
 # ---------------------------------------------------------------------------

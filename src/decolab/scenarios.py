@@ -185,7 +185,8 @@ def parse_config(path, seed=None, tol_overrides=None):
 
     ``seed`` overrides the configured seed; ``tol_overrides`` is a
     mapping merged over the [tolerances] section.  Violations raise
-    :class:`ConfigError` naming the section and key at fault.
+    :class:`ConfigError` naming the section and key at fault.  A relative
+    ``kernel_csv`` is read beside the config file, not the working directory.
     """
     # no interpolation: a value means what it says, '%' included
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
@@ -223,6 +224,8 @@ def parse_config(path, seed=None, tol_overrides=None):
             and (params["family"] == "table") != bool(params["kernel_csv"]):
         raise ConfigError("[sid-kernel] key 'kernel_csv' is required when "
                           "family = table, and read only then")
+    if params.get("kernel_csv"):
+        params["kernel_csv"] = str(Path(path).parent / params["kernel_csv"])
     if kind == "master-eq-toy":
         try:
             dissipative_toy(**params)

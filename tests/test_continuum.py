@@ -1,6 +1,7 @@
 """Kernel pairing, weak limits, projector, measurement rebuild, tables."""
 
 import copy
+import re
 import tracemalloc
 import warnings
 
@@ -10,6 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import erfc
 
 from decolab.continuum import (
+    _TABLE_BLOCK,
     ORACLE_GRID_CAP,
     EnergyGrid,
     GeneralKernelObservable,
@@ -929,18 +931,25 @@ class TestDiscretizedOracle:
 
 
 class TestKernelDiagnostics:
+    @staticmethod
+    def write_table(path, grid, kernel, rows=None):
+        """Write ``kernel`` as CSV rows, row-major or in the given row order."""
+        w = grid.omega.tolist()
+        lines = [f"{wi!r},{wj!r},{k.real!r},{k.imag!r}"
+                 for wi, row in zip(w, kernel.tolist())
+                 for wj, k in zip(w, row)]
+        if rows is not None:
+            lines = [lines[r] for r in rows]
+        path.write_text("\n".join(lines) + "\n")
+        return lines
+
     def test_table_kernel_round_trip(self, tmp_path):
         g = EnergyGrid.uniform(0.0, 1.0, 4)
         rng = np.random.default_rng(3)
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         kern = 0.5 * (a + a.conj().T)
         path = tmp_path / "kernel.csv"
-        rows = []
-        for i in range(4):
-            for j in range(4):
-                rows.append(f"{float(g.omega[i])!r},{float(g.omega[j])!r},"
-                            f"{float(kern[i, j].real)!r},{float(kern[i, j].imag)!r}")
-        path.write_text("\n".join(rows) + "\n")
+        self.write_table(path, g, kern)
         assert_allclose(load_table_kernel(path, g), kern, atol=1e-15)
 
     def test_table_kernel_incomplete_rejected(self, tmp_path):
@@ -983,3 +992,59 @@ class TestKernelDiagnostics:
             path.write_text(row + "\n")
             with pytest.raises(ValueError, match="grid point"):
                 load_table_kernel(path, g)
+
+    # more than two blocks of table rows, the last one partial
+    BLOCKED_N = int(np.sqrt(2 * _TABLE_BLOCK)) + 2
+
+    def test_shuffled_rows_over_many_blocks_give_the_row_major_bytes(
+            self, tmp_path):
+        n = self.BLOCKED_N
+        assert n * n > 2 * _TABLE_BLOCK and n * n % _TABLE_BLOCK
+        g = EnergyGrid.uniform(0.0, 10.0, n)
+        kern = random_hermitian(np.random.default_rng(5), n)
+        self.write_table(tmp_path / "row-major.csv", g, kern)
+        order = np.random.default_rng(6).permutation(n * n)
+        self.write_table(tmp_path / "shuffled.csv", g, kern, order)
+        want = load_table_kernel(tmp_path / "row-major.csv", g)
+        got = load_table_kernel(tmp_path / "shuffled.csv", g)
+        assert got.tobytes() == want.tobytes() == kern.tobytes()
+
+    def test_off_grid_row_in_the_last_block_refused(self, tmp_path):
+        n = self.BLOCKED_N
+        g = EnergyGrid.uniform(0.0, 10.0, n)
+        lines = self.write_table(tmp_path / "kernel.csv", g,
+                                 random_hermitian(np.random.default_rng(7), n))
+        # two off-grid rows in the last block: the first in table order is named
+        lines[-3] = "4.01," + lines[-3].split(",", 1)[1]
+        lines[-2] = "4.02," + lines[-2].split(",", 1)[1]
+        (tmp_path / "kernel.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError,
+                           match=re.escape(f"(4.01, {g.omega.tolist()[-3]!r}) is not "
+                                           "a grid point")):
+            load_table_kernel(tmp_path / "kernel.csv", g)
+
+    def test_duplicate_in_the_last_block_names_its_first_occurrence(
+            self, tmp_path):
+        n = self.BLOCKED_N
+        g = EnergyGrid.uniform(0.0, 10.0, n)
+        w = g.omega.tolist()
+        lines = self.write_table(tmp_path / "kernel.csv", g,
+                                 random_hermitian(np.random.default_rng(8), n))
+        # row 5 again, within TABLE_MATCH_TOL of it but not equal
+        lines.append(f"{w[0]!r},{w[5] + 4e-10!r},1.0,0.0")
+        (tmp_path / "kernel.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError,
+                           match=re.escape(f"({w[0]!r}, {w[5]!r}) is given "
+                                           "more than once")):
+            load_table_kernel(tmp_path / "kernel.csv", g)
+
+    def test_loader_memory_is_the_table_an_index_and_the_kernel(
+            self, tmp_path):
+        # n = 300: the table takes 2.9 MB, its intp row indices 0.7 MB and
+        # the complex kernel 1.4 MB; matching the whole table at once took
+        # 9.8 MB
+        g = EnergyGrid.uniform(0.0, 10.0, 300)
+        path = tmp_path / "kernel.csv"
+        self.write_table(path, g, random_hermitian(np.random.default_rng(9),
+                                                   g.size))
+        assert traced_peak(lambda: load_table_kernel(path, g)) < 7.0e6

@@ -446,6 +446,27 @@ class TestSidRunner:
         assert "expectation" in result.series.channels
         assert result.summary["kind"] == "sid-kernel"
 
+    def test_relative_kernel_csv_is_read_beside_the_config(
+            self, tmp_path, monkeypatch):
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        text = table_config(sub, n=24)
+        write_config(sub, text, "absolute.ini")
+        write_config(sub, text.replace(str(sub / "kernel.csv"), "kernel.csv"),
+                     "table.ini")
+        # from another directory, where a CWD-relative read finds no table
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", "sub/table.ini", "--out", "rel"]) == 0
+        assert main(["run", "--config", str(sub / "absolute.ini"),
+                     "--out", "abs"]) == 0
+        # and from the config's own directory, as before
+        monkeypatch.chdir(sub)
+        assert main(["run", "--config", "table.ini", "--out", "here"]) == 0
+        for out in (tmp_path / "rel", sub / "here"):
+            for name in ("kernel.csv", "kernel.json"):
+                assert (out / name).read_bytes() \
+                    == (tmp_path / "abs" / name).read_bytes()
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, SID_CONFIG))
         r1 = run_scenario(cfg, tmp_path / "a")
