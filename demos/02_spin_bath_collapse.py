@@ -41,11 +41,11 @@ for k in range(0, 120, 12):
     print(f"  {times[k]:4.1f}   {abs(rho[0, 1]):.5f}   {pur:.5f}")
 
 # ---------------------------------------------------------------------------
-# the collapse has a gaussian envelope at early times; fit its e^-1 point
+# the collapse has a gaussian envelope at early times; read its e^-1 point
 # ---------------------------------------------------------------------------
 fit = fit_decoherence_time(times, np.abs(rhos[:, 0, 1]))
-print(f"\nfitted envelope: power p = {fit.power}, t_D = {fit.value:.4f} "
-      f"(r^2 = {fit.r_squared:.5f})")
+print(f"\nenvelope e^-1 crossing: t_D = {fit.value:.4f}, shape (e^-2 over "
+      f"e^-1 crossing; sqrt 2 for a gaussian) = {fit.shape:.4f}")
 print("small-t prediction sqrt(2 / sum g_k^2) =",
       float(np.sqrt(2.0 / np.sum(np.square(params.couplings)))))
 

@@ -34,8 +34,9 @@ for k in range(0, 161, 20):
 # ---------------------------------------------------------------------------
 osc = offdiag_contribution(state, obs, times)
 fit = fit_decoherence_time(times, osc)
-print(f"\nfitted decay: power p = {fit.power}, t_D = {fit.value:.4f} "
-      f"(exact gaussian width gives {np.sqrt(2) / 0.5:.4f})")
+print(f"\ne^-1 crossing: t_D = {fit.value:.4f}, shape {fit.shape:.4f} "
+      f"(the exact gaussian gives {np.sqrt(2) / 0.5:.4f} and "
+      f"{np.sqrt(2):.4f})")
 
 # fit-free: the curvature -f''(0)/f(0) is the lag measure's second moment
 nu, f = lag_measure(state, obs)
@@ -67,4 +68,4 @@ revival = expectation_sid(state, obs, t_rec)
 print(f"grid recurrence at t = {t_rec:.1f}: <O> = {revival:.6f} "
       f"(compare <O>(0) = {values[0]:.6f})")
 print("   the continuum statement only holds inside the window; "
-      "the harness reports that window with every fit")
+      "the harness reports that window with every run")

@@ -34,29 +34,28 @@ def build_parser():
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=None,
                       help="override the scenario seed")
-    tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol-override", metavar="KEY=VALUE", type=_tol_pair,
-                     action="append", default=[],
-                     help="override a tolerance (repeatable), e.g. "
-                          "weak_limit_epsilon=1e-4")
     parser = argparse.ArgumentParser(
         prog="decolab",
         description="coarse-graining laboratory: run decoherence scenarios, "
                     "fit characteristic times, compare reports")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", parents=[seed, tol],
+    run = sub.add_parser("run", parents=[seed],
                         help="run a scenario config; write CSV record and "
                              "JSON summary")
     run.add_argument("--config", required=True, help="scenario config file")
     run.add_argument("--out", required=True, help="output directory")
+    run.add_argument("--tol-override", metavar="KEY=VALUE", type=_tol_pair,
+                     action="append", default=[],
+                     help="override a tolerance (repeatable), e.g. "
+                          "weak_limit_epsilon=1e-4")
 
-    fit = sub.add_parser("fit", parents=[tol],
-                         help="fit characteristic times from a CSV record")
+    fit = sub.add_parser("fit",
+                         help="read characteristic times off a CSV record")
     fit.add_argument("--series", required=True, help="CSV written by 'run'")
     decays = dict.fromkeys(k.decay for k in scenarios._KINDS.values())
     fit.add_argument("--channel", default=None,
-                     help="decay channel to fit (default: "
+                     help="decay channel to read (default: "
                           f"{' or '.join(decays)}, whichever exists)")
 
     cmp_ = sub.add_parser("compare",
@@ -85,12 +84,6 @@ def _cmd_run(args):
 
 
 def _cmd_fit(args):
-    overrides = dict(args.tol_override)
-    floor = scenarios.parse_tolerances(overrides)["fit_floor_log"]
-    unread = sorted(overrides.keys() - {"fit_floor_log"})
-    if unread:
-        raise scenarios.ConfigError(
-            f"[tolerances] key '{unread[0]}': fit reads only fit_floor_log")
     series = TimeSeries.from_csv(args.series)
     # the decay and relax channels that runs write, in kind order
     kinds = scenarios._KINDS.values()
@@ -110,11 +103,11 @@ def _cmd_fit(args):
     out = {
         "series": args.series,
         "channel": channel,
-        "t_D": fit_decoherence_time(series.times, values, floor).as_dict(),
+        "t_D": fit_decoherence_time(series.times, values).as_dict(),
     }
     if relaxes:
         out["t_R"] = fit_relaxation_time(
-            series.times, series.channels[relaxes[0]], floor).as_dict()
+            series.times, series.channels[relaxes[0]]).as_dict()
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0
 

@@ -505,12 +505,18 @@ def sid_scenario(grid, kernel, center, width, amplitude):
     and ``width`` and the kernel ``amplitude * kernel``; the observable
     weighs energies with a gaussian of width 1.5 about the same center
     and carries ``kernel`` itself.  Scenario families differ only in the
-    kernel they pass.
+    kernel they pass.  A state that underflows to 0 on the whole grid is
+    refused, its ``center``, ``width`` and grid ends named.
     """
     w = grid.omega
     rho_diag = np.exp(-((w - center) ** 2) / (2 * width ** 2))
-    rho_diag = rho_diag / float(np.sum(grid.weights * rho_diag))
-    state = VanHoveState(grid, rho_diag, amplitude * kernel)
+    norm = float(np.sum(grid.weights * rho_diag))
+    if not norm > 0:
+        raise ValueError(
+            f"state normalisation underflows: center {center} and width "
+            f"{width} leave no weight on the grid from omega_min {w[0]:g} "
+            f"to omega_max {w[-1]:g}")
+    state = VanHoveState(grid, rho_diag / norm, amplitude * kernel)
     obs_diag = np.exp(-((w - center) ** 2) / (2 * 1.5 ** 2))
     return state, VanHoveObservable(grid, obs_diag, kernel)
 

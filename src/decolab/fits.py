@@ -1,8 +1,8 @@
 """Characteristic-time extraction from decay records.
 
-Fits collapse envelopes to stretched exponentials, locates the onset of
-stationarity inside a recurrence window, and tabulates how far apart the
-dephasing and relaxation scales sit across scenarios.
+Reads t_D and t_R as the e^-1 crossings of collapse envelopes, locates
+the onset of stationarity inside a recurrence window, and tabulates how
+far apart the dephasing and relaxation scales sit across scenarios.
 """
 
 import math
@@ -13,10 +13,6 @@ import numpy as np
 
 from .liouville import _axis, _finite
 
-# envelope samples enter the fit while ln(env / max) stays above this
-FIT_FLOOR_LOG = -2.0
-# a channel must collapse at least this much before a decay fit is honest
-MIN_DECAY_FACTOR = math.e
 # below this amplitude a channel carries no signal worth fitting
 SIGNAL_ATOL = 1e-9
 # fraction of the in-window record used for the long-time mean
@@ -25,18 +21,18 @@ TAIL_FRACTION = 0.25
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of a single envelope fit.
+    """Outcome of reading one characteristic time off a record.
 
-    value is the characteristic time (the e^-1 point of the fitted
-    envelope A exp(-(t/value)^power)); status is "ok" when the fit is
-    trustworthy and a reason string otherwise, in which case the numeric
-    fields are None rather than fabricated.
+    value is the time at which the envelope has fallen to e^-1 of its
+    start; shape is its e^-2 crossing over its e^-1 crossing, both timed
+    from the record's start (2 for an exponential, sqrt 2 for a
+    gaussian), None where the e^-2 crossing lies past the record.  status
+    is "ok" when value is a number and a reason string otherwise, in
+    which case both fields are None rather than fabricated.
     """
 
     value: float | None
-    power: int | None
-    amplitude: float | None
-    r_squared: float | None
+    shape: float | None
     status: str
 
     @property
@@ -47,10 +43,7 @@ class FitResult:
         return asdict(self)
 
 
-_NOT_DECAYING = FitResult(None, None, None, None,
-                          "no fit: envelope is not decaying")
-_NO_DISSIPATION = FitResult(None, None, None, None,
-                            "not applicable (no dissipation)")
+_NO_DISSIPATION = FitResult(None, None, "not applicable (no dissipation)")
 
 
 @dataclass(frozen=True)
@@ -77,87 +70,65 @@ def _check_series(times, values, what="values", dtype=None):
 
 
 def envelope(times, values):
-    """Non-increasing upper envelope of |values| on the sample grid.
+    """Running maximum of |values| from the right on the sample grid: the
+    least non-increasing sequence above |values|.
 
-    Nodes are the samples that dominate every later sample (records seen
-    from the right); the envelope interpolates linearly between them.
-    A monotone collapse is reproduced exactly, an oscillatory decay is
-    bridged across its arches.
+    A monotone collapse is its own envelope; an oscillatory decay is held
+    at its next arch top across each trough, and a collapse onto a lower
+    revival at that revival's top.
     """
-    return _envelope(*_check_series(times, values))
+    v = np.abs(_check_series(times, values)[1])
+    return np.maximum.accumulate(v[::-1])[::-1]
 
 
-def _envelope(times, values):
-    """:func:`envelope` of a series that has passed :func:`_check_series`."""
-    v = np.abs(values).astype(float)
-    suffix = np.maximum.accumulate(v[::-1])[::-1]
-    nodes = np.nonzero(v >= suffix)[0]
-    return np.interp(times, times[nodes], v[nodes])
+def _crossing(times, v, level):
+    """Where the envelope of ``v`` falls below ``level`` (< max v), that is
+    where v last does, or None if v ends at or above it: interpolated
+    linearly in ln(v) between the two bracketing samples (in v where the
+    later one is 0), so a lower revival after the bracket does not move it.
+    """
+    k = int(np.nonzero(v >= level)[0][-1]) + 1
+    if k == v.size:
+        return None
+    e0, e1 = v[k - 1], v[k]
+    frac = math.log(e0 / level) / math.log(e0 / e1) if e1 > 0 \
+        else (e0 - level) / e0
+    return float(times[k - 1] + frac * (times[k] - times[k - 1]))
 
 
-def _fit(times, values, powers, no_signal, floor_log):
-    """Both fits: A exp(-(t/tau)^p) to the envelope of |values|, p from
-    ``powers`` by r squared; the ``no_signal`` status if it stays below
-    SIGNAL_ATOL, and no fit if it does not collapse by MIN_DECAY_FACTOR or
-    no decaying fit is found in its window."""
+def _fit(times, values, no_signal):
+    """The e^-1 crossing of the envelope of |values| and its shape; the
+    ``no_signal`` status if |values| stays below SIGNAL_ATOL, and no fit if
+    the envelope never falls to e^-1 of its start."""
     times, values = _check_series(times, values)
-    env = _envelope(times, values)
-    amax = float(env.max())
-    if amax <= SIGNAL_ATOL:
-        return FitResult(None, None, None, None, no_signal)
-    if not -math.inf < floor_log < 0:  # ln(env/max) <= 0, and not NaN
-        raise ValueError(
-            f"floor_log must be negative and finite, got {floor_log}")
-    if env[-1] * MIN_DECAY_FACTOR > amax:
-        return FitResult(None, None, None, None,
+    v = np.abs(values)
+    start = float(v.max())
+    if start <= SIGNAL_ATOL:
+        return FitResult(None, None, no_signal)
+    value = _crossing(times, v, start / math.e)
+    if value is None:
+        return FitResult(None, None,
                          "no fit: channel does not decay by a factor of e")
-    # contiguous prefix while the envelope stays above max * e^floor_log;
-    # stopping there keeps late revivals and noise floors out of the fit
-    below = np.nonzero(env < amax * math.exp(floor_log))[0]
-    stop = int(below[0]) if below.size else env.size
-    stop = min(max(stop, 4), env.size)
-    t, y = times[:stop], env[:stop]
-    keep = y > 0
-    if int(keep.sum()) < 3:
-        return _NOT_DECAYING
-    t, y = t[keep], np.log(y[keep])
-    best = None
-    for p in powers:
-        design = np.column_stack([t ** p, np.ones_like(t)])
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        if coef[0] >= 0:
-            continue
-        resid = y - design @ coef
-        total = float(np.sum((y - y.mean()) ** 2))
-        r2 = 1.0 - float(np.sum(resid ** 2)) / total if total > 0 else 1.0
-        r2 = min(max(r2, 0.0), 1.0)
-        tau = (-1.0 / float(coef[0])) ** (1.0 / p)
-        if best is None or r2 > best.r_squared:
-            best = FitResult(float(tau), int(p), float(math.exp(coef[1])),
-                             float(r2), "ok")
-    return best if best is not None else _NOT_DECAYING
+    e2 = _crossing(times, v, start / math.e ** 2)
+    t0 = float(times[0])
+    shape = None if e2 is None else (e2 - t0) / (value - t0)
+    return FitResult(value, shape, "ok")
 
 
-def fit_decoherence_time(times, values, floor_log=FIT_FLOOR_LOG):
-    """Fit the collapse of an off-diagonal channel.
-
-    The upper envelope of |values| is fit to A exp(-(t/t_D)^p) with
-    p in {1, 2}, the power chosen by r squared on the log-linear form.
-    The returned value is t_D, the time at which the fitted envelope has
-    fallen to A/e.  A channel that never collapses by a factor of e
-    yields a no-fit result instead of a number.
-    """
-    return _fit(times, values, (1, 2), "no signal: channel is zero", floor_log)
+def fit_decoherence_time(times, values):
+    """t_D of an off-diagonal channel: the e^-1 crossing of the envelope
+    of |values|, exact for a pure exponential.  A channel that never
+    collapses by a factor of e yields a no-fit result instead of a
+    number."""
+    return _fit(times, values, "no signal: channel is zero")
 
 
-def fit_relaxation_time(times, values, floor_log=FIT_FLOOR_LOG):
-    """Fit the exponential approach of a population channel to equilibrium.
-
-    values is the distance-from-equilibrium record.  A channel that
-    never leaves equilibrium reports that relaxation is not applicable
-    rather than inventing a time scale.
-    """
-    return _fit(times, values, (1,), _NO_DISSIPATION.status, floor_log)
+def fit_relaxation_time(times, values):
+    """t_R of a population channel: the e^-1 crossing of its distance from
+    equilibrium, ``values``.  A channel that never leaves equilibrium
+    reports that relaxation is not applicable rather than inventing a time
+    scale."""
+    return _fit(times, values, _NO_DISSIPATION.status)
 
 
 def detect_weak_limit(times, channels, epsilon, recurrence_window=None):

@@ -2,7 +2,7 @@
 
 A config names one scenario kind, its physical parameters, and the
 sampling window; running it produces a deterministic multi-channel CSV
-plus a JSON summary holding the fitted characteristic times, the
+plus a JSON summary holding the characteristic times, the
 detected weak limit, the recurrence window, and any honesty flags.
 Identical config and seed reproduce the output files byte for byte.
 
@@ -10,8 +10,8 @@ A kind is one record in ``_KINDS``, read alike by the run, the oracle
 and ``decolab fit``.  It holds ``system(config)``, the seeded system that
 ``route(system, times)`` and ``oracle(system, times)`` each map to named
 channels; ``window(system)``, the recurrence window or None; and the
-names of the ``decay`` channel that t_D is fitted to, the ``relax``
-channel that t_R is fitted to (None: no dissipation, t_R not applicable)
+names of the ``decay`` channel that t_D is read from, the ``relax``
+channel that t_R is read from (None: no dissipation, t_R not applicable)
 and the ``watched`` channels of the weak limit, the first of which gives
 the equilibrium value.
 """
@@ -92,8 +92,6 @@ _FINITE = (math.isfinite, "must be finite")
 # each tolerance's (default, check, why)
 _TOLERANCES = {
     "weak_limit_epsilon": (1e-3, *_POSITIVE),
-    "fit_floor_log": (fits.FIT_FLOOR_LOG, lambda x: -math.inf < x < 0,
-                      "must be negative and finite"),
 }
 # per kind, each key's (cast, default or _REQUIRED, check or None, why)
 _PARAMS = {
@@ -164,22 +162,6 @@ def _check_keys(cp, section, known):
             )
 
 
-def parse_tolerances(overrides=None, cp=None):
-    """[tolerances] of config ``cp`` (default: none) with the ``overrides``
-    mapping merged over it, each value read and checked as in the file."""
-    overrides = overrides or {}
-    for key in overrides:
-        if key not in _TOLERANCES:
-            raise ConfigError(
-                f"unknown tolerance '{key}'; known tolerances: "
-                f"{', '.join(sorted(_TOLERANCES))}"
-            )
-    cp = cp if cp is not None else configparser.ConfigParser(interpolation=None)
-    cp.read_dict({"tolerances": overrides})
-    return {key: _get(cp, "tolerances", key, float, *spec)
-            for key, spec in _TOLERANCES.items()}
-
-
 def parse_config(path, seed=None, tol_overrides=None):
     """Read and validate a scenario config file.
 
@@ -232,7 +214,16 @@ def parse_config(path, seed=None, tol_overrides=None):
         except ValueError as exc:
             raise ConfigError("[master-eq-toy] keys 'gamma_decohere' and "
                               f"'gamma_relax': {exc}") from None
-    tolerances = parse_tolerances(tol_overrides, cp)
+    # each override is read and checked as if it stood in the file
+    for key in tol_overrides or {}:
+        if key not in _TOLERANCES:
+            raise ConfigError(
+                f"unknown tolerance '{key}'; known tolerances: "
+                f"{', '.join(sorted(_TOLERANCES))}"
+            )
+    cp.read_dict({"tolerances": tol_overrides or {}})
+    tolerances = {key: _get(cp, "tolerances", key, float, *spec)
+                  for key, spec in _TOLERANCES.items()}
     return ScenarioConfig(kind=kind, name=name, seed=seed, t_max=t_max,
                           samples=samples, params=params,
                           tolerances=tolerances)
@@ -347,21 +338,18 @@ def _time_axis(config):
 
 
 def _summary(config, series, kind, recurrence_window):
-    """Fit t_D and t_R to ``kind``'s decay and relax channels of ``series``
+    """Read t_D and t_R off ``kind``'s decay and relax channels of ``series``
     and find the weak limit of its watched ones."""
     tol, times, ch = config.tolerances, series.times, series.channels
-    floor = tol["fit_floor_log"]
-    fit_d = fits.fit_decoherence_time(times, ch[kind.decay], floor)
+    fit_d = fits.fit_decoherence_time(times, ch[kind.decay])
     fit_r = fits._NO_DISSIPATION if kind.relax is None else \
-        fits.fit_relaxation_time(times, ch[kind.relax], floor)
+        fits.fit_relaxation_time(times, ch[kind.relax])
     weak = fits.detect_weak_limit(times, {c: ch[c] for c in kind.watched},
                                   epsilon=tol["weak_limit_epsilon"],
                                   recurrence_window=recurrence_window)
     flags = list(weak.flags)
     if not fit_d.ok:
         flags.append("t_D: " + fit_d.status)
-    elif fit_d.value > times[-1]:
-        flags.append("t_D: beyond the record, extrapolated")
     if not fit_r.ok:
         flags.append("t_R: " + fit_r.status)
     if recurrence_window is None:
@@ -373,7 +361,7 @@ def _summary(config, series, kind, recurrence_window):
         "t_D": fit_d.value,
         "t_R": fit_r.value,
         "equilibrium_value": weak.equilibrium[kind.watched[0]],
-        "fit_quality": {"t_D": fit_d.r_squared, "t_R": fit_r.r_squared},
+        "shape": {"t_D": fit_d.shape, "t_R": fit_r.shape},
         "recurrence_window": recurrence_window,
         "weak_limit_t_star": weak.t_star,
         "flags": flags,

@@ -119,6 +119,25 @@ class TestRunCommand:
         assert "weak_limit_epsilon" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_state_underflowing_on_the_grid_is_refused_by_name(
+            self, tmp_path, capsys, command):
+        # 110 widths above the grid, the state's gaussian is 0 at every
+        # grid point: its normalisation was 0/0, a RuntimeWarning, and then
+        # a refusal of a NaN diagonal that named no key
+        cfg = write(tmp_path, SID_CONFIG.replace(
+            "n = 150", "n = 50\ncenter = 60\nwidth = 0.5"), "far.ini")
+        args = ["--out", str(tmp_path / "out")] if command == "run" else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--config", cfg] + args)
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert captured.err == (
+            "error: state normalisation underflows: center 60.0 and width "
+            "0.5 leave no weight on the grid from omega_min 0 to "
+            "omega_max 10\n")
+
     def test_unknown_tolerance_is_reported(self, tmp_path, capsys):
         cfg = write(tmp_path, TOY_CONFIG, "toy.ini")
         code = main(["run", "--config", cfg, "--out", str(tmp_path / "out"),
@@ -142,8 +161,8 @@ class TestFlags:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    # ln(env/max) <= 0: a floor at or above 0 would cut every fit to its
-    # 4-sample minimum prefix and still report "ok"
+    # fit reads no tolerance: the e^-1 crossing has no knob.  run refuses
+    # each of these by name, fit the flag itself
     @pytest.mark.parametrize("override", [
         "fit_floor_log=nan", "fit_floor_log=inf", "fit_floor_log=0",
         "fit_floor_log=-0.0", "fit_floor_log=3.0", "nope=3"])
@@ -156,12 +175,16 @@ class TestFlags:
         code = main(["run", "--config", cfg, "--out", str(tmp_path / "b"),
                      "--tol-override", override])
         run_err = capsys.readouterr().err
-        assert code == 2 and run_err.startswith("error: ")
-        assert f"'{override.partition('=')[0]}'" in run_err
-        code = main(["fit", "--series", str(out / "toy.csv"),
-                     "--tol-override", override])
+        assert code == 2 and run_err == (
+            f"error: unknown tolerance '{override.partition('=')[0]}'; "
+            "known tolerances: weak_limit_epsilon\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--series", str(out / "toy.csv"),
+                  "--tol-override", override])
         captured = capsys.readouterr()
-        assert code == 2 and captured.err == run_err and not captured.out
+        assert exc.value.code == 2 and not captured.out
+        assert f"unrecognized arguments: --tol-override {override}" \
+            in captured.err
 
     def test_fit_refuses_a_tolerance_it_does_not_read(self, tmp_path,
                                                       capsys):
@@ -169,34 +192,44 @@ class TestFlags:
         out = tmp_path / "out"
         main(["run", "--config", cfg, "--out", str(out)])
         capsys.readouterr()
-        code = main(["fit", "--series", str(out / "toy.csv"),
-                     "--tol-override", "weak_limit_epsilon=1e-9"])
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--series", str(out / "toy.csv"),
+                  "--tol-override", "weak_limit_epsilon=1e-9"])
         captured = capsys.readouterr()
-        assert code == 2 and not captured.out
-        assert captured.err == (
-            "error: [tolerances] key 'weak_limit_epsilon': "
-            "fit reads only fit_floor_log\n")
+        assert exc.value.code == 2 and not captured.out
+        assert "unrecognized arguments: --tol-override " \
+            "weak_limit_epsilon=1e-9" in captured.err
         # the parser is shared between calls: the override does not stay
         assert main(["fit", "--series", str(out / "toy.csv")]) == 0
 
     def test_percent_in_config_value_names_the_key(self, tmp_path, capsys):
         cfg = write(tmp_path, TOY_CONFIG + "[tolerances]\n"
-                    "fit_floor_log = 5%\n", "pct.ini")
+                    "weak_limit_epsilon = 5%\n", "pct.ini")
         code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: [tolerances] key 'fit_floor_log': cannot parse '5%'\n")
+            "error: [tolerances] key 'weak_limit_epsilon': "
+            "cannot parse '5%'\n")
 
     @pytest.mark.parametrize("command", ["run", "fit"])
     def test_percent_in_override_names_the_key(self, tmp_path, capsys,
                                                command):
+        # run reads the override and names its key; fit takes none
         cfg = write(tmp_path, TOY_CONFIG, "toy.ini")
         args = ["run", "--config", cfg, "--out", str(tmp_path / "out")] \
             if command == "run" else ["fit", "--series", "unread.csv"]
-        code = main(args + ["--tol-override", "fit_floor_log=5%"])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "error: [tolerances] key 'fit_floor_log': cannot parse '5%'\n")
+        override = ["--tol-override", "weak_limit_epsilon=5%"]
+        if command == "run":
+            assert main(args + override) == 2
+            assert capsys.readouterr().err == (
+                "error: [tolerances] key 'weak_limit_epsilon': "
+                "cannot parse '5%'\n")
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(args + override)
+            assert exc.value.code == 2
+            assert "--tol-override weak_limit_epsilon=5%" \
+                in capsys.readouterr().err
 
     def test_non_number_override_names_the_key(self, tmp_path, capsys):
         cfg = write(tmp_path, TOY_CONFIG, "toy.ini")

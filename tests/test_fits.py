@@ -44,36 +44,59 @@ class TestEnvelope:
 
 class TestDecoherenceFit:
     def test_pure_exponential(self):
+        # linear interpolation in ln|values| is exact for an exponential
         t = np.linspace(0, 10, 400)
         fit = fit_decoherence_time(t, np.exp(-t / 2))
-        assert fit.ok and fit.power == 1
-        assert abs(fit.value - 2.0) <= 1e-6
-        assert fit.r_squared > 1 - 1e-12
+        assert fit.ok
+        assert abs(fit.value - 2.0) <= 1e-12
+        assert abs(fit.shape - 2.0) <= 1e-12
 
     def test_pure_gaussian(self):
+        # ln|values| = ln 0.7 - (t/tau)^2 is concave, so each chord lies
+        # below it by at most (t - t0)(t1 - t)/tau^2 <= h^2/(4 tau^2): the
+        # crossing comes early, by at most that over
+        # |ln|values|'| >= 2 t_D/tau^2, that is h^2/(8 t_D); likewise at the
+        # e^-2 crossing
         sigma = 0.5
         t = np.linspace(0, 12, 500)
+        h, tau = t[1] - t[0], math.sqrt(2) / sigma
         fit = fit_decoherence_time(t, 0.7 * np.exp(-(sigma * t) ** 2 / 2))
-        assert fit.ok and fit.power == 2
-        assert abs(fit.value - math.sqrt(2) / sigma) <= 1e-6 * fit.value
-        assert abs(fit.amplitude - 0.7) <= 1e-9
+        assert fit.ok
+        assert 0 <= tau - fit.value <= h * h / (8 * fit.value)
+        e2 = fit.shape * fit.value
+        assert 0 <= math.sqrt(2) * tau - e2 <= h * h / (8 * e2)
 
     def test_round_trip_reproduces_parameters(self):
+        # exp(-(t/value)^p) with shape = 2^(1/p) crosses e^-1 at value and
+        # e^-2 at shape * value; read off samples h apart, each crossing
+        # moves by at most h^2 max|(ln f)''| / (8 min|(ln f)'|) on its
+        # bracket [lo, hi] = t -+ h, which for ln f = -(t/value)^p, p < 1,
+        # is h^2 (1 - p) (hi/lo)^(1 - p) / (8 lo)
         t = np.linspace(0, 10, 400)
+        h = t[1] - t[0]
         first = fit_decoherence_time(t, np.exp(-t / 2) * np.cos(11 * t))
         assert first.ok
-        synthetic = first.amplitude * np.exp(-(t / first.value) ** first.power)
-        again = fit_decoherence_time(t, synthetic)
-        assert again.power == first.power
-        assert abs(again.value - first.value) <= 1e-6 * first.value
-        assert abs(again.amplitude - first.amplitude) <= 1e-6
+        p = math.log(2) / math.log(first.shape)
+        assert p < 1
+        again = fit_decoherence_time(t, np.exp(-(t / first.value) ** p))
+        for want, got in ((first.value, again.value),
+                          (first.shape * first.value,
+                           again.shape * again.value)):
+            lo, hi = want - h, want + h
+            assert abs(got - want) \
+                <= h * h * (1 - p) * (hi / lo) ** (1 - p) / (8 * lo)
 
     def test_spin_bath_envelope_matches_analytic_crossing(self):
+        # ln|c| = sum_k ln cos(g_k t) + const before the first zero: a
+        # crossing read by linear interpolation in ln|c| is within
+        # h^2 max|(ln c)''| / (8 min|(ln c)'|) of brentq's, both monotone
+        # in t on the bracket t* +- h
         rng = np.random.default_rng(11)
         n = 12
         g = rng.uniform(0.5, 1.5, n)
         params = SpinBathParams(couplings=g, angles=np.full(n, np.pi / 2))
         t = np.linspace(0.0, 8.0, 200)
+        h = t[1] - t[0]
         coherence = spin_bath_coherence(params, t)
         fit = fit_decoherence_time(t, np.abs(coherence))
         assert fit.ok
@@ -82,13 +105,16 @@ class TestDecoherenceFit:
             return float(np.prod(np.abs(np.cos(g * tt))))
 
         t_star = brentq(lambda tt: product(tt) - math.exp(-1), 1e-9, 2.0)
-        assert abs(fit.value - t_star) <= 0.05 * t_star
+        lo, hi = t_star - h, t_star + h
+        slope = np.sum(g * np.tan(g * lo))
+        curvature = np.sum(g ** 2 / np.cos(g * hi) ** 2)
+        assert abs(fit.value - t_star) <= h * h * curvature / (8 * slope)
 
     def test_non_decaying_channel_refuses_to_fit(self):
         t = np.linspace(0, 10, 100)
         fit = fit_decoherence_time(t, 0.5 + 0.01 * np.cos(t))
         assert not fit.ok
-        assert fit.value is None
+        assert fit.value is None and fit.shape is None
         assert "does not decay" in fit.status
 
     def test_zero_channel_reports_no_signal(self):
@@ -98,22 +124,42 @@ class TestDecoherenceFit:
         assert "no signal" in fit.status
 
     def test_carrier_under_exponential(self):
+        # the envelope follows the arch tops of e^-t |cos 17t|, which lie
+        # between e^-t and e^-(t + pi/17): it crosses e^-1 within one arch
+        # before the carrier-free t = 1
         t = np.linspace(0, 12, 3000)
         fit = fit_decoherence_time(t, np.exp(-t) * np.cos(17 * t))
-        assert fit.ok and fit.power == 1
-        assert abs(fit.value - 1.0) <= 0.1
+        assert fit.ok
+        assert 1.0 - math.pi / 17 <= fit.value <= 1.0
 
+    def test_lower_revival_does_not_hold_up_the_crossing(self):
+        # the record falls through e^-1 between 0.6 at t = 1 and 0.1 at
+        # t = 2, then revives to 0.3 < e^-1 at t = 5.  A line between the
+        # envelope's record-setting samples (0.6 at t = 1, 0.3 at t = 5)
+        # stayed above e^-1 until t 4.03, and the envelope's own samples
+        # (0.6, then 0.3 held up by the revival) put the crossing at 1.71
+        t = np.arange(10.0)
+        v = [1.0, 0.6, 0.1, 0.05, 0.05, 0.3, 0.05, 0.05, 0.05, 0.05]
+        fit = fit_decoherence_time(t, v)
+        assert abs(fit.value - (1 + math.log(0.6 * math.e) / math.log(6))) \
+            <= 1e-12
 
-@pytest.mark.parametrize("floor_log",
-                         [math.nan, math.inf, -math.inf, 0.0, -0.0, 3.0])
-@pytest.mark.parametrize("fit", [fit_decoherence_time, fit_relaxation_time])
-def test_rejects_non_finite_floor_log(fit, floor_log):
-    # a NaN floor would silently fit the whole record; ln(env/max) <= 0, so
-    # a floor >= 0 would fit only the 4-sample minimum prefix
-    t = np.linspace(0, 30, 600)
-    with pytest.raises(ValueError, match="floor_log"):
-        fit(t, np.exp(-t / 5), floor_log=floor_log)
+    def test_shape_past_the_record_is_none(self):
+        # e^-1 is crossed at t = 2 inside the record, e^-2 at t = 4 past it
+        t = np.linspace(0, 3, 100)
+        fit = fit_decoherence_time(t, np.exp(-t / 2))
+        assert fit.ok and abs(fit.value - 2.0) <= 1e-12
+        assert fit.shape is None
 
+    def test_crossing_onto_zero_is_linear_and_warns_not(self):
+        # the bracketing sample is 0: ln(0) has no chord, so the crossing is
+        # read linearly in env, with no numpy warning
+        t = np.arange(5.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_decoherence_time(t, [1.0, 1.0, 0.0, 0.0, 0.0])
+        assert fit.value == 2.0 - math.exp(-1)
+        assert fit.shape == (2.0 - math.exp(-2)) / fit.value
 
     def test_complex_values_are_fitted_by_their_modulus(self):
         # the fits read |values|, so a complex channel is kept, not refused
@@ -126,12 +172,25 @@ def test_rejects_non_finite_floor_log(fit, floor_log):
             assert_array_equal(envelope(t, c), envelope(t, np.abs(c)))
 
 
+@pytest.mark.parametrize("floor_log",
+                         [math.nan, math.inf, -math.inf, 0.0, -0.0, 3.0])
+@pytest.mark.parametrize("fit", [fit_decoherence_time, fit_relaxation_time])
+def test_rejects_non_finite_floor_log(fit, floor_log):
+    # the least-squares window's floor went with the fit it cut: the
+    # crossing reads the whole record, and a caller still passing a floor,
+    # of any value, is refused by name rather than silently ignored
+    t = np.linspace(0, 30, 600)
+    with pytest.raises(TypeError, match="floor_log"):
+        fit(t, np.exp(-t / 5), floor_log=floor_log)
+
+
 class TestRelaxationFit:
     def test_pure_exponential_distance(self):
         t = np.linspace(0, 30, 600)
         fit = fit_relaxation_time(t, np.exp(-t / 5))
-        assert fit.ok and fit.power == 1
-        assert abs(fit.value - 5.0) <= 1e-6
+        assert fit.ok
+        assert abs(fit.value - 5.0) <= 1e-12
+        assert abs(fit.shape - 2.0) <= 1e-12
 
     def test_raw_channel_with_known_limit(self):
         # the caller turns a raw channel into its distance from the limit
@@ -147,6 +206,8 @@ class TestRelaxationFit:
         assert fit.status == "not applicable (no dissipation)"
 
     def test_toy_fixture_recovers_both_rates(self):
+        # both channels decay as pure exponentials, which the crossing reads
+        # exactly: t_D = 1/gamma_decohere and t_R = 1/gamma_relax to roundoff
         toy = dissipative_toy(gamma_decohere=1.0, gamma_relax=0.2)
         t = np.linspace(0.0, 30.0, 400)
         states = evolve_linear_generator(toy.generator, toy.rho0, t)
@@ -160,8 +221,8 @@ class TestRelaxationFit:
         fit_d = fit_decoherence_time(t, np.array(offdiag))
         fit_r = fit_relaxation_time(t, np.array(diag_dist))
         assert fit_d.ok and fit_r.ok
-        assert abs(fit_d.value - 1.0 / toy.gamma_decohere) <= 0.05
-        assert abs(fit_r.value - 1.0 / toy.gamma_relax) <= 0.05 * 5.0
+        assert abs(fit_d.value * toy.gamma_decohere - 1.0) <= 1e-12
+        assert abs(fit_r.value * toy.gamma_relax - 1.0) <= 1e-12
 
 
 class TestWeakLimit:
@@ -328,6 +389,5 @@ class TestOrderingReport:
 
 class TestFitResultShape:
     def test_as_dict(self):
-        fit = FitResult(2.0, 1, 1.0, 0.999, "ok")
-        d = fit.as_dict()
-        assert d["value"] == 2.0 and d["status"] == "ok"
+        fit = FitResult(2.0, 1.5, "ok")
+        assert fit.as_dict() == {"value": 2.0, "shape": 1.5, "status": "ok"}

@@ -12,12 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.optimize import brentq
 
 import decolab
 from decolab.cli import main
 from decolab.open_system import SpinBathParams, spin_bath_coherence
-from decolab.scenarios import (_FINITE, _PARAMS, _POSITIVE, _TOLERANCES,
-                               KINDS, ConfigError, ScenarioConfig,
+from decolab.scenarios import (_FINITE, _KINDS, _PARAMS, _POSITIVE,
+                               _TOLERANCES, KINDS, ConfigError, ScenarioConfig,
                                oracle_series, parse_config, run_scenario)
 from decolab.timeseries import TimeSeries
 
@@ -204,13 +205,23 @@ class TestConfigParsing:
         text = EID_CONFIG + "\n[tolerances]\nweak_limit_epsilon = 1e-2\n"
         cfg = parse_config(write_config(tmp_path, text),
                            tol_overrides={"weak_limit_epsilon": 1e-5})
-        assert cfg.tolerances["weak_limit_epsilon"] == 1e-5
-        assert cfg.tolerances["fit_floor_log"] == -2.0
+        assert cfg.tolerances == {"weak_limit_epsilon": 1e-5}
 
     def test_unknown_tol_override_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown tolerance 'bogus'"):
             parse_config(write_config(tmp_path, EID_CONFIG),
                          tol_overrides={"bogus": 1.0})
+
+    def test_deleted_fit_floor_log_is_refused_by_name(self, tmp_path):
+        # t_D is a crossing, with no least-squares window to set a floor for
+        text = EID_CONFIG + "\n[tolerances]\nfit_floor_log = -2.0\n"
+        with pytest.raises(ConfigError, match=r"\[tolerances\] unknown key "
+                           "'fit_floor_log'; known keys: weak_limit_epsilon"):
+            parse_config(write_config(tmp_path, text))
+        with pytest.raises(ConfigError,
+                           match="unknown tolerance 'fit_floor_log'"):
+            parse_config(write_config(tmp_path, EID_CONFIG),
+                         tol_overrides={"fit_floor_log": "-2.0"})
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -350,16 +361,50 @@ class TestEidRunner:
     @pytest.mark.parametrize("angle, beyond", [("half-pi", False),
                                                ("random", True)])
     def test_t_d_beyond_the_record_is_flagged(self, tmp_path, angle, beyond):
-        # random angles leave a plateau (seed 3: |rho01| settles near 0.12)
-        # that the envelope fit reads as slow decay, t_D 12.1 on t <= 8:
-        # the value is kept and flagged; a t_D inside the record is not
+        # |rho01| first falls to e^-1 at t 0.61 (half-pi) and 0.86 (random
+        # angles, seed 3): a record that ends before that has no t_D and
+        # says why, rather than extrapolating one
         text = EID_CONFIG.replace("n_spins = 6",
                                   f"n_spins = 6\nbath_angle = {angle}")
+        if beyond:
+            text = text.replace("t_max = 8.0", "t_max = 0.5")
         s = run_scenario(parse_config(write_config(tmp_path, text)),
                          tmp_path / "out").summary
-        assert (s["t_D"] > 8.0) is beyond
-        flag = "t_D: beyond the record, extrapolated"
+        assert (s["t_D"] is None) is beyond
+        flag = "t_D: no fit: channel does not decay by a factor of e"
         assert (flag in s["flags"]) is beyond
+
+    @pytest.mark.parametrize("angle", ["half-pi", "random"])
+    def test_t_d_is_the_last_crossing_of_the_closed_form(self, tmp_path,
+                                                         angle):
+        # t_D is where the envelope last falls below e^-1 of its start:
+        # brentq of the closed form |rho01|, bracketed on a fine grid.
+        # Random angles (seed 3) revive above e^-1 until t 6.73, then
+        # plateau near 0.12, which a least-squares fit read as slow decay
+        # (t_D 12.1 on t <= 8).  Read by linear interpolation in ln|rho01|
+        # off samples h apart, the crossing is within
+        # h^2 max|(ln)''| / (8 min|(ln)'|) on t* +- h of brentq's, where
+        # the samples see the last excursion above e^-1, as they do here
+        text = EID_CONFIG.replace("n_spins = 6",
+                                  f"n_spins = 6\nbath_angle = {angle}")
+        cfg = parse_config(write_config(tmp_path, text))
+        s = run_scenario(cfg, tmp_path / "out").summary
+        bath = _KINDS[cfg.kind].system(cfg)
+
+        def modulus(t):
+            return np.abs(spin_bath_coherence(bath, np.atleast_1d(t)))
+
+        level = modulus(0.0)[0] / math.e
+        grid = np.linspace(0.0, cfg.t_max, 80001)
+        k = np.nonzero(modulus(grid) >= level)[0][-1]
+        t_star = brentq(lambda t: modulus(t)[0] - level, grid[k],
+                        grid[k + 1])
+        h = cfg.t_max / (cfg.samples - 1)
+        near = np.linspace(t_star - h, t_star + h, 201)
+        slope = np.gradient(np.log(modulus(near)), near)
+        curvature = np.gradient(slope, near)
+        assert abs(s["t_D"] - t_star) <= \
+            h * h * np.max(np.abs(curvature)) / (8 * np.min(np.abs(slope)))
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, EID_CONFIG))
@@ -402,8 +447,13 @@ class TestSidRunner:
         cfg = parse_config(write_config(tmp_path, SID_CONFIG))
         result = run_scenario(cfg, tmp_path / "out")
         s = result.summary
-        assert abs(s["t_D"] - math.sqrt(2) / 0.5) <= 0.01 * s["t_D"]
-        assert s["fit_quality"]["t_D"] > 0.999
+        # the sector is exp(-(c t)^2 / 2), c = cross_width 0.5: it crosses
+        # e^-1 at sqrt 2/c and e^-2 at 2/c, each read off samples h apart
+        # within the interpolation error h^2 / (8 t) of a gaussian
+        h = 12.0 / 99
+        e2 = s["shape"]["t_D"] * s["t_D"]
+        assert abs(s["t_D"] - math.sqrt(2) / 0.5) <= h * h / (8 * s["t_D"])
+        assert abs(e2 - 2 / 0.5) <= h * h / (8 * e2)
         # the weak limit is reached inside the sampled window
         assert s["weak_limit_t_star"] is not None
         predicted = math.sqrt(2 * math.log(
@@ -413,9 +463,12 @@ class TestSidRunner:
     def test_lorentzian_family_runs(self, tmp_path):
         text = SID_CONFIG.replace("n = 200", "n = 200\nfamily = lorentzian")
         cfg = parse_config(write_config(tmp_path, text))
-        result = run_scenario(cfg, tmp_path / "out")
-        assert result.summary["t_D"] is not None
-        assert result.summary["t_D"] > 0
+        s = run_scenario(cfg, tmp_path / "out").summary
+        # the sector is (1 + c t) e^{-c t}, c = cross_width 0.5: it crosses
+        # e^-1 at 2.146193/c, with shape 1.633237; measured gaps 3.2e-5
+        # and 4.8e-6, set by the n = 200 grid, not by the crossing
+        assert abs(s["t_D"] - 2.146193 / 0.5) <= 1e-4 * s["t_D"]
+        assert abs(s["shape"]["t_D"] - 1.633237) <= 1e-5
 
     def test_lorentzian_run_kernel_is_the_documented_formula(
             self, tmp_path, monkeypatch):
@@ -601,7 +654,7 @@ class TestKindRecords:
         summary = self.run(tmp_path, case)[1].summary
         assert "t_R: not applicable (no dissipation)" in summary["flags"]
         assert summary["t_R"] is None
-        assert summary["fit_quality"]["t_R"] is None
+        assert summary["shape"]["t_R"] is None
 
     # each name a profiler wraps in this module, and a run that calls it
     @pytest.mark.parametrize("name, case", [
